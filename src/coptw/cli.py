@@ -45,6 +45,13 @@ def _load_instance(path: str):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_augment(args) -> int:
     text = _read(args.input)
     try:
@@ -171,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the savings heuristic on a COPTW file")
     p.add_argument("instance", help="normalized COPTW file")
     p.add_argument("-o", "--output", help="solution path (default: instance with .sol suffix)")
-    p.add_argument("--workers", type=int, default=1, help="parallel triplet evaluations")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="parallel triplet evaluations (capped at the CPU count)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against its instance")
@@ -198,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-max", type=int, default=3)
     p.add_argument("--oracle-limit", type=float, default=300.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="parallel triplet evaluations (capped at the CPU count)")
     p.add_argument("--no-oracle", action="store_true", help="skip the exact search")
     p.add_argument(
         "--times",

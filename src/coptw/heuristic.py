@@ -23,8 +23,8 @@ be evaluated in parallel processes without changing the result.
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ from .scheduling import (
     Solution,
     TravelTimes,
     check_solution,
+    insert_starts,
     objective,
     relax_starts,
 )
@@ -59,12 +60,12 @@ class _Workspace:
     """
 
     def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                 debug_check: bool = False):
+                 debug_check: bool = False, tt: TravelTimes | None = None):
         self.instance = instance
         self.arcs = arcs
         self.d = d
-        self.tt = TravelTimes(instance, d)
-        self.feas = arcs.feasible
+        self.tt = TravelTimes(instance, d) if tt is None else tt
+        self.feas = arcs.feasible.tolist()
         self.dist = d.tolist()
         self.team_size = instance.team_size
         self.routes: list[list[int]] = [[] for _ in range(instance.team_size)]
@@ -77,8 +78,9 @@ class _Workspace:
 
     @classmethod
     def from_solution(cls, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                      solution: Solution, debug_check: bool = False) -> "_Workspace":
-        ws = cls(instance, arcs, d, debug_check)
+                      solution: Solution, debug_check: bool = False,
+                      tt: TravelTimes | None = None) -> "_Workspace":
+        ws = cls(instance, arcs, d, debug_check, tt)
         ws.routes = [list(route) for route in solution.routes]
         ws.count = solution.visit_counts(instance.n_vertices)
         ws.served = set(solution.served)
@@ -109,78 +111,64 @@ class _Workspace:
 
     # -- candidate generation -------------------------------------------------
 
-    def _slot_ok(self, u: int, v: int, w: int, arr_floor: float) -> bool:
-        # u -> v -> w must be arc-valid and v reachable within its window
-        # from u's current start; arr_floor only grows at the fixed point,
-        # so rejecting on it is final.
-        if not self.feas[u][v] or not self.feas[v][w]:
-            return False
-        return arr_floor <= self.tt.close[v]
-
-    def _depart_floor(self, u: int) -> float:
-        return 0.0 if u == 0 else self.s[u] + self.tt.dur[u]
-
-    def _end_slots(self, v: int) -> list[tuple[float, int, int]]:
+    def _slots(self, v: int, ends: bool):
+        """Yield (delta, m, pos) slots for one more visit of v, cheapest added
+        distance first: the route heads and tails when `ends`, else the
+        interior positions.  A slot needs both arcs u -> v -> w valid, v
+        reachable by its close from u's current start, and w (the depot at
+        a tail) still reachable by its close after serving v.  These floors
+        bound the first two starts insert_starts computes from below, in the
+        same float order, so a slot they drop is one it would reject."""
+        feas = self.feas
         dist = self.dist
+        s = self.s
+        tt = self.tt
+        dur = tt.dur
+        t = tt.t
+        close = tt.close
+        close_v = close[v]
+        s_v = s[v]
+        dur_v = dur[v]
+        t_v = t[v]
+        feas_v = feas[v]
+        dist_v = dist[v]
         slots = []
         empty_seen = False
         for m, route in enumerate(self.routes):
             if v in route:
                 continue
-            if not route:
-                if empty_seen:
-                    continue  # empty routes are interchangeable
-                empty_seen = True
-                positions: tuple[int, ...] = (0,)
+            n = len(route)
+            if not ends:
+                positions = range(1, n)
+            elif n:
+                positions = (0, n)
+            elif empty_seen:
+                continue  # empty routes are interchangeable
             else:
-                positions = (0, len(route))
+                empty_seen = True
+                positions = (0,)
             for pos in positions:
-                u = 0 if pos == 0 else route[pos - 1]
-                w = 0 if pos == len(route) else route[pos]
-                arr = self._depart_floor(u) + self.tt.t[u][v]
-                if not self._slot_ok(u, v, w, arr):
+                u = route[pos - 1] if pos else 0
+                w = route[pos] if pos < n else 0
+                if not feas[u][v] or not feas_v[w]:
                     continue
-                delta = dist[u][v] + dist[v][w] - dist[u][w]
-                slots.append((delta, m, pos))
-        slots.sort()
-        return slots
-
-    def _interior_slots(self, v: int) -> list[tuple[float, int, int]]:
-        dist = self.dist
-        slots = []
-        for m, route in enumerate(self.routes):
-            if len(route) < 2 or v in route:
-                continue
-            for pos in range(1, len(route)):
-                u, w = route[pos - 1], route[pos]
-                arr = self._depart_floor(u) + self.tt.t[u][v]
-                if not self._slot_ok(u, v, w, arr):
+                arr = (s[u] + dur[u] if u else 0.0) + t[u][v]
+                if arr > close_v:
                     continue
-                delta = dist[u][v] + dist[v][w] - dist[u][w]
-                slots.append((delta, m, pos))
+                if (arr if arr > s_v else s_v) + dur_v + t_v[w] > close[w]:
+                    continue
+                slots.append((dist[u][v] + dist_v[w] - dist[u][w], m, pos))
         slots.sort()
-        return slots
+        yield from slots
 
     # -- feasibility-gated insertion ------------------------------------------
 
     def _try_slot(self, m: int, pos: int, v: int) -> list[float] | None:
         route = self.routes[m]
-        tt = self.tt
-        if pos == len(route):
-            # tail append: cascades only when it raises an existing start
-            u = route[-1] if route else 0
-            arr = self._depart_floor(u) + tt.t[u][v]
-            if self.count[v] == 0 or arr <= self.s[v]:
-                s_v = max(self.s[v], arr)
-                if s_v > tt.close[v] or s_v + tt.dur[v] + tt.t[v][0] > tt.t_max:
-                    return None
-                s_new = list(self.s)
-                s_new[v] = s_v
-                return s_new
         route.insert(pos, v)
-        status, s_new, _, _ = relax_starts(self.tt, self.routes, s0=self.s)
+        s_new = insert_starts(self.tt, self.routes, self.s, m, pos)
         route.pop(pos)
-        return s_new if status == "ok" else None
+        return s_new
 
     def _commit(self, m: int, pos: int, v: int, s_new: list[float]) -> None:
         self.routes[m].insert(pos, v)
@@ -198,8 +186,8 @@ class _Workspace:
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v: route ends first, then interiors."""
-        for slots in (self._end_slots(v), self._interior_slots(v)):
-            for _, m, pos in slots:
+        for ends in (True, False):
+            for _, m, pos in self._slots(v, ends):
                 s_new = self._try_slot(m, pos, v)
                 if s_new is not None:
                     self._commit(m, pos, v, s_new)
@@ -289,6 +277,7 @@ def construct(
     d: np.ndarray,
     params: SavingParams,
     debug_check: bool = False,
+    tt: TravelTimes | None = None,
 ) -> Solution:
     """Build one solution by walking the saving-pair list for `params`.
 
@@ -296,9 +285,10 @@ def construct(
     direct top-up attempt in descending reward order; the final cleanup then
     strips every vertex left short of its requirement.  The result is always
     checker-feasible; when nothing can be placed it is the all-empty
-    solution.
+    solution.  `tt`, when given, must be TravelTimes(instance, d); solve
+    builds it once for all triplets.
     """
-    ws = _Workspace(instance, arcs, d, debug_check)
+    ws = _Workspace(instance, arcs, d, debug_check, tt)
     for pair in calc_saving_pairs(instance, d, arcs, params):
         ws.top_up(pair.i)
         ws.top_up(pair.j)
@@ -317,6 +307,7 @@ def improve(
     d: np.ndarray,
     solution: Solution,
     debug_check: bool = False,
+    tt: TravelTimes | None = None,
 ) -> Solution:
     """One substitution pass over the unvisited vertices, best reward first.
 
@@ -324,9 +315,10 @@ def improve(
     at the cheapest arc-valid slots and committed only if that breaks
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome restores the routes,
-    so the returned score never drops below the input score.
+    so the returned score never drops below the input score.  `tt` is as
+    for construct.
     """
-    ws = _Workspace.from_solution(instance, arcs, d, solution, debug_check)
+    ws = _Workspace.from_solution(instance, arcs, d, solution, debug_check, tt)
     tt = ws.tt
     order = sorted(
         (
@@ -385,12 +377,11 @@ def improve(
     return ws.to_solution()
 
 
-def _solve_one(instance: Instance, params: SavingParams,
+def _solve_one(instance: Instance, params: SavingParams, d: np.ndarray,
+               arcs: ArcSet, tt: TravelTimes,
                debug_check: bool = False) -> tuple[float, Solution]:
-    d = build_distance_matrix(instance)
-    arcs = build_arc_set(instance, d)
-    sol = construct(instance, arcs, d, params, debug_check)
-    sol = improve(instance, arcs, d, sol, debug_check)
+    sol = construct(instance, arcs, d, params, debug_check, tt)
+    sol = improve(instance, arcs, d, sol, debug_check, tt)
     return objective(instance, sol), sol
 
 
@@ -398,17 +389,32 @@ def _solve_one_packed(args) -> tuple[float, Solution]:
     return _solve_one(*args)
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes for `tasks` independent jobs: never more than the
+    jobs or the machine's CPUs, since the pool starts every worker at once."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def solve(instance: Instance, workers: int = 1, debug_check: bool = False) -> SolverResult:
     """Run construction + improvement for every coefficient triplet and keep
     the best solution.  Deterministic for a fixed instance: parallel workers
-    change nothing but the wall time."""
+    change nothing but the wall time.  The distances, arcs and travel times
+    are built once and shared by every triplet."""
     t0 = time.perf_counter()
     grid = parameter_grid()
-    if workers <= 1:
-        outcomes = [_solve_one(instance, params, debug_check) for params in grid]
+    d = build_distance_matrix(instance)
+    arcs = build_arc_set(instance, d)
+    tt = TravelTimes(instance, d)
+    tasks = [(instance, params, d, arcs, tt, debug_check) for params in grid]
+    processes = _pool_size(workers, len(tasks))
+    if processes == 1:
+        outcomes = list(map(_solve_one_packed, tasks))
     else:
-        tasks = [(instance, params, debug_check) for params in grid]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported only here: the process machinery adds ~30 ms to every
+        # import of the package, and serial solves never use it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_solve_one_packed, tasks))
     best_idx = 0
     for idx in range(1, len(outcomes)):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance
-from .scheduling import Solution, TravelTimes, relax_starts
+from .scheduling import Solution, TravelTimes, insert_starts, relax_starts
 
 UPPER_BOUND_MODES = ("reward-sum", "reachability-filtered")
 
@@ -219,8 +219,8 @@ class _Search:
                 s_save = None
             else:
                 open_route.append(v)
-                status, s_new, _, _ = relax_starts(tt, self.routes, s0=self.s)
-                feasible = status == "ok"
+                s_new = insert_starts(tt, self.routes, self.s, len(self.routes) - 1, depth)
+                feasible = s_new is not None
                 if feasible:
                     s_save = self.s
                     self.s = s_new

@@ -4,18 +4,29 @@ A solution assigns one route (an ordered customer sequence, implicitly
 starting and ending at the depot) to each team member, plus the set of
 vertices considered served.  Because several members must start service
 simultaneously at a vertex, a member's timeline depends on start times in
-other routes; start times are therefore computed as the least fixed point of
+other routes; start times are therefore the least fixed point of
 
     s_v = max(o_v, latest arrival of any member visiting v)
 
-by monotone relaxation.  Updates only ever increase start times, so the
-fixed point is reached in at most (total visits) rounds; a routing whose
-relaxation is still changing after (total visits + 1) rounds contains a
+Two routines compute it.  relax_starts finds the fixed point of a whole
+routing by monotone relaxation in rounds over every route.  Updates only
+ever increase start times, so it is reached in at most (total visits)
+rounds; a routing still changing after (total visits + 1) rounds contains a
 circular cross-route wait and is reported as a deadlock instead of looping.
+Verification and every other full-schedule question use it.
+
+insert_starts answers the searches' one hot question: does inserting one
+visit into a feasible routing keep it feasible, and what are the new
+starts?  It propagates forward from the inserted visit only, over the
+route successors of every changed start, and stops at the first window or
+horizon breach.  Every cycle
+the insertion creates passes through the new visit, so a second rise of
+that visit's start reveals a circular wait at once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +41,7 @@ CONSTRAINT_FAMILIES = (
     "window-open",
     "window-close",
     "horizon",
+    "deadlock",
     "arc-feasibility",
 )
 
@@ -161,6 +173,76 @@ def relax_starts(
     return "deadlock", s, returns, rounds
 
 
+def insert_starts(
+    tt: TravelTimes,
+    routes: list[list[int]],
+    s: list[float],
+    m: int,
+    pos: int,
+) -> list[float] | None:
+    """Fixed-point starts after the visit routes[m][pos] was inserted.
+
+    `s` must be the fixed point of the routes without that visit, with every
+    unvisited vertex at its opening time.  A work list seeded with the new
+    visit recomputes each popped start exactly as relax_starts does, the
+    maximum of its opening and every member's arrival, and only a changed
+    start queues the vertex's successors on every route.  A start is
+    recomputed, never raised to max(old, new): replacing an arc u -> w by
+    u -> v -> w can lower w's arrival by one rounding step.  The result is
+    therefore relax_starts(tt, routes, s0=s) bit for bit.
+
+    Returns None at the first start past its window or return past the
+    horizon, and when the inserted visit's start would rise a second time:
+    the routing without it had a finite fixed point, so every new cycle
+    passes through the visit and a second rise means a circular wait.
+    """
+    t = tt.t
+    dur = tt.dur
+    opens = tt.open
+    close = tt.close
+    t_max = tt.t_max
+    v = routes[m][pos]
+    s = list(s)
+    work = deque((v,))
+    queued = {v}
+    fresh = True  # the inserted visit's first evaluation always propagates
+    while work:
+        x = work.popleft()
+        queued.discard(x)
+        start = opens[x]
+        nexts = []
+        for route in routes:
+            if x in route:
+                i = route.index(x)
+                if i:
+                    u = route[i - 1]
+                    arr = s[u] + dur[u] + t[u][x]
+                else:
+                    arr = t[0][x]
+                if arr > start:
+                    start = arr
+                i += 1
+                nexts.append(route[i] if i < len(route) else 0)
+        if x == v and fresh:
+            fresh = False
+        elif start == s[x]:
+            continue
+        elif x == v and start > s[x]:
+            return None
+        if start > close[x]:
+            return None
+        s[x] = start
+        depart = start + dur[x]
+        for w in nexts:
+            if not w:
+                if depart + t[x][0] > t_max:
+                    return None
+            elif w not in queued:
+                queued.add(w)
+                work.append(w)
+    return s
+
+
 def _structurally_valid(instance: Instance, solution: Solution) -> bool:
     n = instance.n_vertices
     if len(solution.routes) != instance.team_size:
@@ -227,7 +309,9 @@ def check_solution(
     (structural route integrity), requirement (served vertices meet their
     member requirement; visited vertices must be served), window-open /
     window-close (service within [o, c]), horizon (returns by the deadline),
-    arc-feasibility (every traversed arc is in the precomputed arc set).
+    deadlock (cross-route waits that never stabilize, so no start times
+    exist), arc-feasibility (every traversed arc is in the precomputed arc
+    set).
 
     With `starts` given, those service start times are audited instead of
     propagating new ones (this is the only path where window-open can fire:
@@ -272,9 +356,7 @@ def check_solution(
         if starts is None:
             status, s, returns, _ = relax_starts(tt, routes, early_abort=False)
             if status == "deadlock":
-                violations.append(
-                    ("horizon", "deadlock: cross-route waits never stabilize")
-                )
+                violations.append(("deadlock", "cross-route waits never stabilize"))
                 s = None
         else:
             s = [0.0] * n

@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from coptw import read_coptw, write_coptw
 from coptw.bench import CSV_HEADER
 from coptw.cli import main
@@ -113,6 +115,13 @@ class TestSolveVerifyOracle:
         alien = tmp_path / "alien.sol"
         alien.write_text("member 1: 42\nmember 2:\nscore: 5.0\n")
         assert main(["verify", str(inst_path), str(alien)]) == 2
+
+    def test_workers_below_one_exit_2(self, tmp_path):
+        inst_path = self.make_coptw(tmp_path)
+        for argv in (["solve", str(inst_path)], ["bench", str(tmp_path), "-o", "x.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", "0"])
+            assert exc.value.code == 2
 
     def test_oracle_command(self, tmp_path, capsys):
         inst_path = self.make_coptw(tmp_path)

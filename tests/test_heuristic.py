@@ -1,3 +1,4 @@
+import os
 import random
 
 from coptw import (
@@ -11,7 +12,8 @@ from coptw import (
     objective,
     solve,
 )
-from coptw.heuristic import _solve_one
+from coptw.heuristic import _pool_size, _solve_one, _Workspace
+from coptw.scheduling import TravelTimes
 
 from conftest import make_instance, random_instance
 
@@ -74,6 +76,39 @@ class TestConstruct:
         sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1), debug_check=True)
         sol = improve(inst, arcs, d, sol, debug_check=True)
         assert check_solution(inst, sol, d=d, arcs=arcs).feasible
+
+    def test_slot_floors_drop_only_rejected_slots(self):
+        # a non-empty-route slot that _slots leaves out must be one the
+        # insertion kernel rejects (empty routes are offered once)
+        rng = random.Random(8)
+        dropped = 0
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(4, 9), team_size=rng.randint(2, 4))
+            d, arcs = prepared(inst)
+            sol = construct(inst, arcs, d, SavingParams(0.7, 0.7, 0.7))
+            ws = _Workspace.from_solution(inst, arcs, d, sol)
+            for v in range(1, inst.n_vertices):
+                offered = {(m, pos) for ends in (True, False) for _, m, pos in ws._slots(v, ends)}
+                for m, route in enumerate(ws.routes):
+                    if not route or v in route:
+                        continue
+                    for pos in range(len(route) + 1):
+                        if (m, pos) not in offered:
+                            dropped += 1
+                            assert ws._try_slot(m, pos, v) is None
+        assert dropped > 0
+
+    def test_slot_reaching_successor_at_its_close_offered(self):
+        # serving 1 ahead of 2 delays 2 to 5 + 2 + 5 = 12, exactly its close
+        inst = make_instance(
+            [(5.0, 0.0, 2.0, 10.0, 0.0, 50.0, 1), (10.0, 0.0, 0.0, 10.0, 0.0, 12.0, 1)],
+            team_size=1,
+            t_max=100.0,
+        )
+        d, arcs = prepared(inst)
+        ws = _Workspace.from_solution(inst, arcs, d, Solution(routes=[[2]], served={2}))
+        assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
+        assert ws._try_slot(0, 0, 1)[2] == 12.0
 
 
 class TestImprove:
@@ -144,7 +179,9 @@ class TestSolve:
         rng = random.Random(3)
         inst = random_instance(rng, 8, team_size=3)
         res = solve(inst)
-        single, _ = _solve_one(inst, SavingParams(0.0, 0.0, 0.0))
+        d, arcs = prepared(inst)
+        tt = TravelTimes(inst, d)
+        single, _ = _solve_one(inst, SavingParams(0.0, 0.0, 0.0), d, arcs, tt)
         assert res.best_score >= single
         assert res.best_score == max(res.triplet_scores)
         assert res.triplet_scores[0] == single
@@ -169,6 +206,14 @@ class TestSolve:
         assert serial.best_score == parallel.best_score
         assert serial.best_solution == parallel.best_solution
         assert serial.triplet_scores == parallel.triplet_scores
+
+    def test_pool_never_exceeds_tasks_or_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert _pool_size(100000, 54) == min(54, cpus)
+        assert _pool_size(2, 54) == min(2, cpus)
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(1, 54) == 1
+        assert _pool_size(0, 54) == 1
 
     def test_plain_toptw_reduction(self):
         # forcing unit requirements turns the problem into plain TOPTW
