@@ -10,21 +10,14 @@ import numpy as np
 from .instances import Instance
 
 
-def build_distance_matrix(instance: Instance, one_decimal: bool = False) -> np.ndarray:
-    """Full double-precision Euclidean distance matrix.
-
-    With one_decimal=True distances are truncated down to one decimal place
-    (the legacy Solomon convention); the default keeps full precision so the
-    heuristic and the exact solver agree bit for bit.
-    """
+def build_distance_matrix(instance: Instance) -> np.ndarray:
+    """Full double-precision Euclidean distance matrix, shared by the
+    heuristic and the exact solver so they agree bit for bit."""
     xs = np.array([v.x for v in instance.vertices], dtype=float)
     ys = np.array([v.y for v in instance.vertices], dtype=float)
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
-    d = np.sqrt(dx**2 + dy**2)
-    if one_decimal:
-        d = np.floor(d * 10.0) / 10.0
-    return d
+    return np.sqrt(dx**2 + dy**2)
 
 
 @dataclass

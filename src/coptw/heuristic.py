@@ -31,7 +31,8 @@ import numpy as np
 
 from .geometry import ArcSet, build_arc_set, build_distance_matrix
 from .instances import Instance
-from .savings import SavingParams, calc_saving_pairs, parameter_grid
+from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
+                      parameter_grid, saving_terms)
 from .scheduling import (
     Solution,
     TravelTimes,
@@ -278,6 +279,7 @@ def construct(
     params: SavingParams,
     debug_check: bool = False,
     tt: TravelTimes | None = None,
+    terms: SavingTerms | None = None,
 ) -> Solution:
     """Build one solution by walking the saving-pair list for `params`.
 
@@ -285,11 +287,11 @@ def construct(
     direct top-up attempt in descending reward order; the final cleanup then
     strips every vertex left short of its requirement.  The result is always
     checker-feasible; when nothing can be placed it is the all-empty
-    solution.  `tt`, when given, must be TravelTimes(instance, d); solve
-    builds it once for all triplets.
+    solution.  `tt` and `terms`, when given, are TravelTimes(instance, d) and
+    saving_terms(instance, d, arcs), which solve builds once for all triplets.
     """
     ws = _Workspace(instance, arcs, d, debug_check, tt)
-    for pair in calc_saving_pairs(instance, d, arcs, params):
+    for pair in calc_saving_pairs(instance, d, arcs, params, terms):
         ws.top_up(pair.i)
         ws.top_up(pair.j)
     # vertices in no feasible pair (isolated but depot-reachable customers,
@@ -354,14 +356,10 @@ def improve(
             j = broken[0]
             for route in ws.routes:
                 route[:] = [u for u in route if u != j]
-            status2, s2, returns2, _ = relax_starts(tt, ws.routes, early_abort=False)
-            swap_ok = (
-                status2 == "ok"
-                and all(s2[u] <= tt.close[u] for route in ws.routes for u in route)
-                and all(ret <= tt.t_max for ret in returns2)
-                and ws.arcs_all_valid()
-            )
-            if swap_ok:
+            # starts only grow from the opening times, so an early abort
+            # already settles the window and horizon checks
+            status2, s2, _, _ = relax_starts(tt, ws.routes)
+            if status2 == "ok" and ws.arcs_all_valid():
                 ws.count[j] = 0
                 ws.served.discard(j)
                 ws.served.add(v)
@@ -378,9 +376,9 @@ def improve(
 
 
 def _solve_one(instance: Instance, params: SavingParams, d: np.ndarray,
-               arcs: ArcSet, tt: TravelTimes,
+               arcs: ArcSet, tt: TravelTimes, terms: SavingTerms | None = None,
                debug_check: bool = False) -> tuple[float, Solution]:
-    sol = construct(instance, arcs, d, params, debug_check, tt)
+    sol = construct(instance, arcs, d, params, debug_check, tt, terms)
     sol = improve(instance, arcs, d, sol, debug_check, tt)
     return objective(instance, sol), sol
 
@@ -398,14 +396,15 @@ def _pool_size(workers: int, tasks: int) -> int:
 def solve(instance: Instance, workers: int = 1, debug_check: bool = False) -> SolverResult:
     """Run construction + improvement for every coefficient triplet and keep
     the best solution.  Deterministic for a fixed instance: parallel workers
-    change nothing but the wall time.  The distances, arcs and travel times
-    are built once and shared by every triplet."""
+    change nothing but the wall time.  The distances, arcs, travel times
+    and saving terms are built once and shared by every triplet."""
     t0 = time.perf_counter()
     grid = parameter_grid()
     d = build_distance_matrix(instance)
     arcs = build_arc_set(instance, d)
     tt = TravelTimes(instance, d)
-    tasks = [(instance, params, d, arcs, tt, debug_check) for params in grid]
+    terms = saving_terms(instance, d, arcs)
+    tasks = [(instance, params, d, arcs, tt, terms, debug_check) for params in grid]
     processes = _pool_size(workers, len(tasks))
     if processes == 1:
         outcomes = list(map(_solve_one_packed, tasks))

@@ -15,11 +15,18 @@ mean_reward averages over customers only.  The absolute value wraps the
 distance expression only; cos(theta) stays outside, so the sweep term is
 negative for obtuse pairs.  Note the middle term makes the saving
 asymmetric: S(i, j) != S(j, i) in general.
+
+Only the coefficients differ between triplets, so saving_terms evaluates
+everything else once per solve as numpy arrays over the arc-feasible pairs.
+calc_saving_pairs then ranks one triplet in numpy, keeping saving_value's
+float order so both agree bit for bit and equal values keep their tie order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +45,7 @@ class SavingParams:
     vartheta: float
 
 
-@dataclass(frozen=True)
-class SavingPair:
+class SavingPair(NamedTuple):
     i: int
     j: int
     value: float
@@ -91,32 +97,64 @@ def saving_value(
     return base + sweep + reward
 
 
+class SavingTerms(NamedTuple):
+    """Triplet-independent saving inputs per feasible pair, in row-major (i, j)
+    order, which calc_saving_pairs keeps as the tie order."""
+
+    i: np.ndarray
+    j: np.ndarray
+    base0: np.ndarray  # d_i0 + d_0j
+    d_ij: np.ndarray
+    cos: np.ndarray
+    spread: np.ndarray  # |d_max - (d_i0 - d_0j)/2|
+    rsum: np.ndarray  # reward_i + reward_j
+    d_max: float
+    gamma_bar: float
+
+
+def saving_terms(instance: Instance, d: np.ndarray, arcs: ArcSet) -> SavingTerms:
+    """Evaluate the parts of saving_value that no coefficient touches."""
+    d_max = float(d.max()) or 1.0  # all vertices coincide: distance terms vanish
+    gamma_bar = mean_customer_reward(instance) or 1.0  # every reward is 0
+    feasible = arcs.feasible[1:, 1:] & ~np.eye(instance.n_vertices - 1, dtype=bool)
+    i, j = np.argwhere(feasible).T + 1  # row-major (i, j) order
+    depot = instance.vertices[0]
+    ax = np.array([v.x for v in instance.vertices], dtype=float) - depot.x
+    ay = np.array([v.y for v in instance.vertices], dtype=float) - depot.y
+    sq = ax * ax + ay * ay
+    # as cos_polar_angle: one square root of the product, 1 on the depot
+    norm = np.sqrt(sq[i] * sq[j])
+    dot = ax[i] * ax[j] + ay[i] * ay[j]
+    cos = np.divide(dot, norm, out=np.ones_like(norm), where=norm != 0.0)
+    d_i0, d_0j = d[i, 0], d[0, j]
+    reward = np.array([v.reward for v in instance.vertices], dtype=float)
+    return SavingTerms(i, j, d_i0 + d_0j, d[i, j], np.clip(cos, -1.0, 1.0),
+                       np.abs(d_max - (d_i0 - d_0j) / 2.0), reward[i] + reward[j],
+                       d_max, gamma_bar)
+
+
 def calc_saving_pairs(
     instance: Instance,
     d: np.ndarray,
     arcs: ArcSet,
     params: SavingParams,
+    terms: SavingTerms | None = None,
 ) -> list[SavingPair]:
     """All arc-feasible ordered customer pairs, best saving first.
 
     A pair enters the list when the arc (i, j) is traversable: a member can
     leave i at its earliest service completion and reach j's window, and j
     still allows returning to the depot by the horizon.  Ties are broken by
-    (i, j) index so the list is a total, reproducible order.
+    (i, j) index so the list is a total, reproducible order.  `terms`, when
+    given, must be saving_terms(instance, d, arcs); solve builds it once.
     """
-    n = instance.n_vertices
-    d_max = float(d.max())
-    if d_max <= 0.0:
-        d_max = 1.0  # all vertices coincide; distance terms vanish anyway
-    gamma_bar = mean_customer_reward(instance)
-    if gamma_bar <= 0.0:
-        gamma_bar = 1.0
-    feasible = arcs.feasible
-    pairs = [
-        SavingPair(i, j, saving_value(i, j, instance, d, params, d_max, gamma_bar))
-        for i in range(1, n)
-        for j in range(1, n)
-        if i != j and feasible[i, j]
-    ]
-    pairs.sort(key=lambda p: (-p.value, p.i, p.j))
-    return pairs
+    t = saving_terms(instance, d, arcs) if terms is None else terms
+    # the grouping of saving_value: (base + sweep) + reward
+    value = (
+        (t.base0 - params.lambda_ * t.d_ij) / t.d_max
+        + params.mu * t.cos * t.spread / t.d_max
+    ) + params.vartheta * t.rsum / t.gamma_bar
+    # stable: ties keep the (i, j) order; tuple.__new__ skips a Python-level call
+    order = np.argsort(-value, kind="stable")
+    return list(map(tuple.__new__, repeat(SavingPair), zip(
+        t.i[order].tolist(), t.j[order].tolist(), value[order].tolist())))

@@ -43,6 +43,8 @@ from bruteforce import best_score_bruteforce
 from conftest import make_instance, random_instance
 from test_savings import saving_reference
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (1, 2, 3, 4)
 TEAM_SIZES = (3, 4)
 DESK_GROUPS = [

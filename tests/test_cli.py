@@ -202,15 +202,22 @@ class TestBenchCommand:
 
 
 def test_python_dash_m_entry(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import coptw
+
     src = tmp_path / "s.txt"
     src.write_text(SOLOMON_SMALL)
+    # the child imports the package under test, not whatever PYTHONPATH holds
+    package_root = str(Path(coptw.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "coptw", "augment", str(src), "-o",
          str(tmp_path / "s.coptw"), "--seed", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s.coptw").exists()

@@ -29,11 +29,6 @@ class TestDistanceMatrix:
                 expected = math.sqrt((vi.x - vj.x) ** 2 + (vi.y - vj.y) ** 2)
                 assert d[i, j] == expected
 
-    def test_one_decimal_mode(self):
-        inst = make_instance([(1.0, 1.0, 0.0, 1.0, 0.0, 100.0, 1)])
-        d = build_distance_matrix(inst, one_decimal=True)
-        assert d[0, 1] == 1.4  # sqrt(2) truncated down
-
 
 class TestArcSet:
     def test_window_violation_excludes_arc(self):

@@ -4,14 +4,19 @@ import random
 from coptw import (
     SavingParams,
     Solution,
+    augment,
     build_arc_set,
     build_distance_matrix,
     check_solution,
     construct,
     improve,
     objective,
+    parameter_grid,
+    parse_benchmark,
     solve,
+    truncate,
 )
+from coptw import heuristic, savings
 from coptw.heuristic import _pool_size, _solve_one, _Workspace
 from coptw.scheduling import TravelTimes
 
@@ -110,6 +115,17 @@ class TestConstruct:
         assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
         assert ws._try_slot(0, 0, 1)[2] == 12.0
 
+    def test_precomputed_terms_change_nothing(self, data_dir):
+        raw = parse_benchmark((data_dir / "rc200_1.txt").read_text())
+        inst = augment(truncate(raw, 24), 1, 3, team_size=4)
+        d, arcs = prepared(inst)
+        tt = TravelTimes(inst, d)
+        terms = savings.saving_terms(inst, d, arcs)
+        for params in parameter_grid():
+            assert construct(inst, arcs, d, params, tt=tt, terms=terms) == construct(
+                inst, arcs, d, params
+            )
+
 
 class TestImprove:
     def swap_instance(self, reward_in=10.0, reward_out=30.0):
@@ -206,6 +222,21 @@ class TestSolve:
         assert serial.best_score == parallel.best_score
         assert serial.best_solution == parallel.best_solution
         assert serial.triplet_scores == parallel.triplet_scores
+
+    def test_saving_terms_built_once_per_solve(self, monkeypatch):
+        calls = {"solve": 0, "fallback": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(heuristic, "saving_terms", counted("solve", savings.saving_terms))
+        # calc_saving_pairs rebuilds the terms itself only when none were passed
+        monkeypatch.setattr(savings, "saving_terms", counted("fallback", savings.saving_terms))
+        solve(random_instance(random.Random(5), 7, team_size=3))
+        assert calls == {"solve": 1, "fallback": 0}
 
     def test_pool_never_exceeds_tasks_or_cpus(self):
         cpus = os.cpu_count() or 1

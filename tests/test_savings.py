@@ -1,6 +1,9 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coptw import (
     SavingParams,
     build_arc_set,
@@ -10,6 +13,7 @@ from coptw import (
     parameter_grid,
     saving_value,
 )
+from coptw.savings import saving_terms
 
 from conftest import make_instance, random_instance
 
@@ -202,6 +206,57 @@ class TestCalcSavingPairs:
         pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), SavingParams(0.0, 0.0, 0.0))
         same_value = [(p.i, p.j) for p in pairs if p.value == pairs[0].value]
         assert same_value == sorted(same_value)
+
+
+# few distinct coordinates around the depot at the origin: customers land on
+# the depot, coincide with each other or mirror each other, so values tie
+COORDS = st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0, 4.0])
+
+
+@st.composite
+def saving_cases(draw):
+    n = draw(st.integers(1, 7))
+    layout = draw(st.sampled_from(["grid", "on_depot", "coincident"]))
+    if layout == "on_depot":  # d is all zero: the d_max fallback
+        points = [(0.0, 0.0)] * n
+    elif layout == "coincident":
+        points = [(draw(COORDS), draw(COORDS))] * n
+    else:
+        points = draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n))
+    rewards = st.just(0.0) if draw(st.booleans()) else st.sampled_from([1.0, 2.5, 7.0])
+    customers = [
+        # closing times this tight cut some arcs out of the pair list
+        (x, y, draw(st.sampled_from([0.0, 1.0])), draw(rewards), 0.0,
+         draw(st.sampled_from([3.0, 6.0, 100.0])), 1)
+        for x, y in points
+    ]
+    return make_instance(customers, team_size=2, t_max=100.0)
+
+
+class TestRankingDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(inst=saving_cases())
+    def test_matches_scalar_saving_value_sort(self, inst):
+        d = build_distance_matrix(inst)
+        arcs = build_arc_set(inst, d)
+        d_max = float(d.max())
+        d_max = d_max if d_max > 0.0 else 1.0
+        gamma_bar = mean_customer_reward(inst)
+        gamma_bar = gamma_bar if gamma_bar > 0.0 else 1.0
+        n = inst.n_vertices
+        pairs = [(i, j) for i in range(1, n) for j in range(1, n)
+                 if i != j and arcs.feasible[i, j]]
+        terms = saving_terms(inst, d, arcs)
+        for params in parameter_grid():
+            expected = sorted(
+                ((i, j, saving_value(i, j, inst, d, params, d_max, gamma_bar))
+                 for i, j in pairs),
+                key=lambda p: (-p[2], p[0], p[1]),
+            )
+            got = calc_saving_pairs(inst, d, arcs, params, terms)
+            # floats compared with ==: equal values decide the tie order
+            assert [(p.i, p.j, p.value) for p in got] == expected
+            assert calc_saving_pairs(inst, d, arcs, params) == got
 
 
 class TestParameterGrid:
