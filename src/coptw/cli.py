@@ -116,11 +116,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args.instance)
-    config = OracleConfig(
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        upper_bound_mode=args.bound_mode,
-    )
+    config = OracleConfig(node_limit=args.node_limit, time_limit=args.time_limit)
     t0 = time.perf_counter()
     result = exact_solve(instance, config)
     elapsed = time.perf_counter() - t0
@@ -191,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--time-limit", type=float, default=300.0)
     p.add_argument("--node-limit", type=int, default=10**9)
-    p.add_argument(
-        "--bound-mode",
-        choices=["reward-sum", "reachability-filtered"],
-        default="reachability-filtered",
-    )
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="augment+solve+oracle a directory of benchmarks")

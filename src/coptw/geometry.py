@@ -22,7 +22,7 @@ def build_distance_matrix(instance: Instance) -> np.ndarray:
 
 @dataclass
 class ArcSet:
-    """Boolean arc-feasibility matrix plus per-vertex neighbor lists.
+    """Boolean arc-feasibility matrix: feasible[i, j] for arc (i, j).
 
     Arc (i, j) is feasible when a member leaving i at its earliest service
     completion o_i + a_i reaches j by c_j, and j itself still allows a return
@@ -31,12 +31,9 @@ class ArcSet:
     """
 
     feasible: np.ndarray
-    out_neighbors: list[list[int]]
-    in_neighbors: list[list[int]]
 
 
 def build_arc_set(instance: Instance, d: np.ndarray) -> ArcSet:
-    n = instance.n_vertices
     opens = np.array([v.open for v in instance.vertices])
     closes = np.array([v.close for v in instance.vertices])
     durations = np.array([v.duration for v in instance.vertices])
@@ -49,9 +46,7 @@ def build_arc_set(instance: Instance, d: np.ndarray) -> ArcSet:
     can_return = departs + t[:, 0] <= instance.t_max
     feasible = reach & can_return[None, :]
     np.fill_diagonal(feasible, False)
-    out_neighbors = [np.flatnonzero(feasible[i]).tolist() for i in range(n)]
-    in_neighbors = [np.flatnonzero(feasible[:, j]).tolist() for j in range(n)]
-    return ArcSet(feasible=feasible, out_neighbors=out_neighbors, in_neighbors=in_neighbors)
+    return ArcSet(feasible=feasible)
 
 
 def cos_polar_angle(p_i: tuple[float, float], p_j: tuple[float, float],

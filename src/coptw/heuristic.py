@@ -33,14 +33,7 @@ from .geometry import ArcSet, build_arc_set, build_distance_matrix
 from .instances import Instance
 from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
                       parameter_grid, saving_terms)
-from .scheduling import (
-    Solution,
-    TravelTimes,
-    check_solution,
-    insert_starts,
-    objective,
-    relax_starts,
-)
+from .scheduling import Solution, TravelTimes, insert_starts, objective, relax_starts
 
 
 @dataclass
@@ -61,10 +54,7 @@ class _Workspace:
     """
 
     def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                 debug_check: bool = False, tt: TravelTimes | None = None):
-        self.instance = instance
-        self.arcs = arcs
-        self.d = d
+                 tt: TravelTimes | None = None):
         self.tt = TravelTimes(instance, d) if tt is None else tt
         self.feas = arcs.feasible.tolist()
         self.dist = d.tolist()
@@ -75,13 +65,11 @@ class _Workspace:
         self.s = list(self.tt.open)
         self.version = 0
         self.fail_version = [-1] * instance.n_vertices
-        self.debug_check = debug_check
 
     @classmethod
     def from_solution(cls, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                      solution: Solution, debug_check: bool = False,
-                      tt: TravelTimes | None = None) -> "_Workspace":
-        ws = cls(instance, arcs, d, debug_check, tt)
+                      solution: Solution, tt: TravelTimes | None = None) -> "_Workspace":
+        ws = cls(instance, arcs, d, tt)
         ws.routes = [list(route) for route in solution.routes]
         ws.count = solution.visit_counts(instance.n_vertices)
         ws.served = set(solution.served)
@@ -178,12 +166,6 @@ class _Workspace:
         self.version += 1
         if self.count[v] >= self.tt.req[v]:
             self.served.add(v)
-        if self.debug_check:
-            report = check_solution(
-                self.instance, self.to_solution(), d=self.d, arcs=self.arcs,
-                allow_partial=True,
-            )
-            assert report.feasible, report.violations
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v: route ends first, then interiors."""
@@ -277,7 +259,6 @@ def construct(
     arcs: ArcSet,
     d: np.ndarray,
     params: SavingParams,
-    debug_check: bool = False,
     tt: TravelTimes | None = None,
     terms: SavingTerms | None = None,
 ) -> Solution:
@@ -290,7 +271,7 @@ def construct(
     solution.  `tt` and `terms`, when given, are TravelTimes(instance, d) and
     saving_terms(instance, d, arcs), which solve builds once for all triplets.
     """
-    ws = _Workspace(instance, arcs, d, debug_check, tt)
+    ws = _Workspace(instance, arcs, d, tt)
     for pair in calc_saving_pairs(instance, d, arcs, params, terms):
         ws.top_up(pair.i)
         ws.top_up(pair.j)
@@ -308,7 +289,6 @@ def improve(
     arcs: ArcSet,
     d: np.ndarray,
     solution: Solution,
-    debug_check: bool = False,
     tt: TravelTimes | None = None,
 ) -> Solution:
     """One substitution pass over the unvisited vertices, best reward first.
@@ -320,7 +300,7 @@ def improve(
     so the returned score never drops below the input score.  `tt` is as
     for construct.
     """
-    ws = _Workspace.from_solution(instance, arcs, d, solution, debug_check, tt)
+    ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
     tt = ws.tt
     order = sorted(
         (
@@ -369,17 +349,14 @@ def improve(
                 ws.restore(snap)
         else:
             ws.restore(snap)
-        if ws.debug_check and ws.count[v] == tt.req[v]:
-            report = check_solution(instance, ws.to_solution(), d=d, arcs=arcs)
-            assert report.feasible, report.violations
     return ws.to_solution()
 
 
 def _solve_one(instance: Instance, params: SavingParams, d: np.ndarray,
-               arcs: ArcSet, tt: TravelTimes, terms: SavingTerms | None = None,
-               debug_check: bool = False) -> tuple[float, Solution]:
-    sol = construct(instance, arcs, d, params, debug_check, tt, terms)
-    sol = improve(instance, arcs, d, sol, debug_check, tt)
+               arcs: ArcSet, tt: TravelTimes,
+               terms: SavingTerms | None = None) -> tuple[float, Solution]:
+    sol = construct(instance, arcs, d, params, tt, terms)
+    sol = improve(instance, arcs, d, sol, tt)
     return objective(instance, sol), sol
 
 
@@ -393,7 +370,7 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def solve(instance: Instance, workers: int = 1, debug_check: bool = False) -> SolverResult:
+def solve(instance: Instance, workers: int = 1) -> SolverResult:
     """Run construction + improvement for every coefficient triplet and keep
     the best solution.  Deterministic for a fixed instance: parallel workers
     change nothing but the wall time.  The distances, arcs, travel times
@@ -404,7 +381,7 @@ def solve(instance: Instance, workers: int = 1, debug_check: bool = False) -> So
     arcs = build_arc_set(instance, d)
     tt = TravelTimes(instance, d)
     terms = saving_terms(instance, d, arcs)
-    tasks = [(instance, params, d, arcs, tt, terms, debug_check) for params in grid]
+    tasks = [(instance, params, d, arcs, tt, terms) for params in grid]
     processes = _pool_size(workers, len(tasks))
     if processes == 1:
         outcomes = list(map(_solve_one_packed, tasks))

@@ -25,20 +25,15 @@ from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance
 from .scheduling import Solution, TravelTimes, insert_starts, relax_starts
 
-UPPER_BOUND_MODES = ("reward-sum", "reachability-filtered")
-
 
 @dataclass
 class OracleConfig:
     node_limit: int = 10**9
     time_limit: float = 300.0
-    upper_bound_mode: str = "reachability-filtered"
 
     def __post_init__(self):
         if self.node_limit <= 0 or self.time_limit <= 0:
             raise ValueError("limits must be positive")
-        if self.upper_bound_mode not in UPPER_BOUND_MODES:
-            raise ValueError(f"upper_bound_mode must be one of {UPPER_BOUND_MODES}")
 
 
 @dataclass
@@ -57,7 +52,8 @@ class _Search:
     def __init__(self, instance: Instance, config: OracleConfig):
         d = build_distance_matrix(instance)
         self.tt = TravelTimes(instance, d)
-        self.feas = build_arc_set(instance, d).feasible.tolist()
+        arcs = build_arc_set(instance, d)
+        self.feas = arcs.feasible.tolist()
         self.config = config
         self.team_size = instance.team_size
         self.req = self.tt.req
@@ -68,40 +64,28 @@ class _Search:
             (v for v in range(1, n) if self.req[v] <= self.team_size),
             key=lambda v: (-self.reward[v], v),
         )
-        self.knapsack = config.upper_bound_mode == "reachability-filtered"
-        if self.knapsack:
-            # a customer no vertex can feed within its window can never be
-            # served; dropping it tightens the bound and stays admissible
-            opens = np.array(self.tt.open)
-            durs = np.array(self.tt.dur)
-            closes = np.array(self.tt.close)
-            t = np.array(self.tt.t)
-            reach = (opens + durs)[:, None] + t <= closes[None, :]
-            np.fill_diagonal(reach, False)
-            col_ok = reach.any(axis=0)
-            self.bound_candidates = [v for v in self.branch_order if col_ok[v]]
-            # per-visit relaxation: each member visit of v consumes at least
-            # its service plus the cheapest possible approach leg, and pays
-            # reward/required proportionally; packing those items greedily
-            # into the remaining route time is a fractional knapsack, an
-            # upper bound on any completion
-            tmat = np.array(self.tt.t)
-            np.fill_diagonal(tmat, np.inf)
-            approach = tmat.min(axis=0)
-            self.visit_cost = [
-                self.tt.dur[v] + float(approach[v]) for v in range(n)
-            ]
-            self.visit_value = [
-                self.reward[v] / self.req[v] if self.req[v] else 0.0 for v in range(n)
-            ]
-            self.bound_candidates.sort(
-                key=lambda v: (
-                    -self.visit_value[v] / max(self.visit_cost[v], 1e-300),
-                    v,
-                )
+        # a customer no feasible arc enters is never appended by _extend;
+        # dropping it tightens the bound and stays admissible
+        col_ok = arcs.feasible.any(axis=0)
+        self.bound_candidates = [v for v in self.branch_order if col_ok[v]]
+        # per-visit relaxation: each member visit of v consumes at least
+        # its service plus the cheapest possible approach leg, and pays
+        # reward/required proportionally; packing those items greedily
+        # into the remaining route time is a fractional knapsack, an
+        # upper bound on any completion
+        tmat = np.array(self.tt.t)
+        np.fill_diagonal(tmat, np.inf)
+        approach = tmat.min(axis=0)
+        self.visit_cost = [self.tt.dur[v] + float(approach[v]) for v in range(n)]
+        self.visit_value = [
+            self.reward[v] / self.req[v] if self.req[v] else 0.0 for v in range(n)
+        ]
+        self.bound_candidates.sort(
+            key=lambda v: (
+                -self.visit_value[v] / max(self.visit_cost[v], 1e-300),
+                v,
             )
-        else:
-            self.bound_candidates = list(self.branch_order)
+        )
 
         self.routes: list[list[int]] = [[]]
         self.open_set: set[int] = set()
@@ -119,16 +103,6 @@ class _Search:
         open_set = self.open_set
         count = self.count
         req = self.req
-        total = self.score
-        if not self.knapsack:
-            for v in self.bound_candidates:
-                c = count[v]
-                r = req[v]
-                if c >= r:
-                    continue
-                if c + (0 if v in open_set else 1) + unopened >= r:
-                    total += self.reward[v]
-            return total
         open_route = self.routes[-1]
         if open_route:
             last = open_route[-1]
@@ -156,7 +130,7 @@ class _Search:
             elif self.visit_cost[v] > 0.0:
                 packed += self.visit_value[v] * (capacity / self.visit_cost[v])
                 capacity = 0.0
-        return total + min(plain, packed)
+        return self.score + min(plain, packed)
 
     def _record_incumbent(self) -> None:
         if self.score <= self.best_score:
@@ -165,13 +139,9 @@ class _Search:
             [v for v in route if self.count[v] >= self.req[v]]
             for route in self.routes
         ]
-        status, s, returns, _ = relax_starts(self.tt, stripped, early_abort=False)
-        ok = (
-            status == "ok"
-            and all(s[v] <= self.tt.close[v] for route in stripped for v in route)
-            and all(ret <= self.tt.t_max for ret in returns)
-        )
-        if ok:
+        # starts only grow from the opening times, so an early abort
+        # already settles the window and horizon checks
+        if relax_starts(self.tt, stripped)[0] == "ok":
             self.best_score = self.score
             self.best_routes = [list(r) for r in stripped if r]
 

@@ -38,7 +38,6 @@ CONSTRAINT_FAMILIES = (
     "depot-flow",
     "conservation",
     "requirement",
-    "window-open",
     "window-close",
     "horizon",
     "deadlock",
@@ -298,8 +297,6 @@ def check_solution(
     solution: Solution,
     d: np.ndarray | None = None,
     arcs: ArcSet | None = None,
-    starts: dict[int, float] | None = None,
-    allow_partial: bool = False,
 ) -> FeasibilityReport:
     """Verify a solution against the full constraint set.
 
@@ -307,17 +304,11 @@ def check_solution(
     checker accepts arbitrary garbage.  Families: depot-flow (team departs
     from and returns to the depot, one route per member), conservation
     (structural route integrity), requirement (served vertices meet their
-    member requirement; visited vertices must be served), window-open /
-    window-close (service within [o, c]), horizon (returns by the deadline),
-    deadlock (cross-route waits that never stabilize, so no start times
-    exist), arc-feasibility (every traversed arc is in the precomputed arc
-    set).
-
-    With `starts` given, those service start times are audited instead of
-    propagating new ones (this is the only path where window-open can fire:
-    propagated starts never precede the opening by construction).  With
-    allow_partial=True, visited-but-not-yet-served vertices are tolerated;
-    construction uses this to audit intermediate states.
+    member requirement; visited vertices must be served), window-close
+    (propagated service start within the window; starts never precede the
+    opening time), horizon (returns by the deadline), deadlock (cross-route
+    waits that never stabilize, so no start times exist), arc-feasibility
+    (every traversed arc is in the precomputed arc set).
     """
     violations: list[tuple[str, object]] = []
     n = instance.n_vertices
@@ -353,32 +344,10 @@ def check_solution(
         if arcs is None:
             arcs = build_arc_set(instance, d if d is not None else build_distance_matrix(instance))
         visited = sorted({v for route in routes for v in route})
-        if starts is None:
-            status, s, returns, _ = relax_starts(tt, routes, early_abort=False)
-            if status == "deadlock":
-                violations.append(("deadlock", "cross-route waits never stabilize"))
-                s = None
+        status, s, returns, _ = relax_starts(tt, routes, early_abort=False)
+        if status == "deadlock":
+            violations.append(("deadlock", "cross-route waits never stabilize"))
         else:
-            s = [0.0] * n
-            missing = [v for v in visited if v not in starts]
-            if missing:
-                violations.append(("window-open", f"no start time given for vertex {missing[0]}"))
-                s = None
-            else:
-                for v in visited:
-                    s[v] = starts[v]
-                returns = []
-                for route in routes:
-                    depart = 0.0
-                    prev = 0
-                    for v in route:
-                        depart = s[v] + tt.dur[v]
-                        prev = v
-                    returns.append(depart + tt.t[prev][0] if route else 0.0)
-                for v in visited:
-                    if s[v] < tt.open[v]:
-                        violations.append(("window-open", v))
-        if s is not None:
             for v in visited:
                 if s[v] > tt.close[v]:
                     violations.append(("window-close", v))
@@ -400,10 +369,9 @@ def check_solution(
         for v in sorted(served_ok):
             if counts[v] < req[v]:
                 violations.append(("requirement", v))
-        if not allow_partial:
-            for v in visited:
-                if v not in served_ok:
-                    violations.append(("requirement", v))
+        for v in visited:
+            if v not in served_ok:
+                violations.append(("requirement", v))
 
     return FeasibilityReport(feasible=not violations, violations=violations)
 

@@ -134,6 +134,12 @@ class TestSolveVerifyOracle:
         assert main(["oracle", str(inst_path), "--node-limit", "3"]) == 0
         assert "not proven" in capsys.readouterr().out
 
+    def test_oracle_bound_mode_flag_gone_exit_2(self, tmp_path):
+        inst_path = self.make_coptw(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(inst_path), "--bound-mode", "reward-sum"])
+        assert exc.value.code == 2
+
     def test_oracle_on_garbage_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.coptw"
         bad.write_text("COPTW 9\n")

@@ -60,7 +60,7 @@ class TestArcSet:
         # o_2 + a_2 + t_20 = 90 + 1 + 40 > 100
         assert not arcs.feasible[0, 2]
         assert not arcs.feasible[1, 2]
-        assert arcs.in_neighbors[2] == []
+        assert not arcs.feasible[:, 2].any()
 
     def test_matches_bruteforce_predicate(self):
         rng = random.Random(11)
@@ -68,23 +68,20 @@ class TestArcSet:
         d = build_distance_matrix(inst)
         arcs = build_arc_set(inst, d)
         t = d / inst.velocity
-        for i, vi in enumerate(inst.vertices):
-            for j, vj in enumerate(inst.vertices):
-                if i == j:
-                    expected = False
-                else:
-                    expected = (
-                        vi.open + vi.duration + t[i, j] <= vj.close
-                        and vj.open + vj.duration + t[j, 0] <= inst.t_max
-                    )
-                assert bool(arcs.feasible[i, j]) == expected
+        expected = [
+            [
+                bool(
+                    i != j
+                    and vi.open + vi.duration + t[i, j] <= vj.close
+                    and vj.open + vj.duration + t[j, 0] <= inst.t_max
+                )
+                for j, vj in enumerate(inst.vertices)
+            ]
+            for i, vi in enumerate(inst.vertices)
+        ]
         for i in range(inst.n_vertices):
-            assert arcs.out_neighbors[i] == [
-                j for j in range(inst.n_vertices) if arcs.feasible[i, j]
-            ]
-            assert arcs.in_neighbors[i] == [
-                j for j in range(inst.n_vertices) if arcs.feasible[j, i]
-            ]
+            assert arcs.feasible[i].tolist() == expected[i]
+            assert arcs.feasible[:, i].tolist() == [row[i] for row in expected]
 
     def test_no_self_arcs(self):
         rng = random.Random(2)

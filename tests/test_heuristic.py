@@ -74,12 +74,42 @@ class TestConstruct:
                 assert counts[v] == 0 or counts[v] >= inst.requirements[v]
             assert check_solution(inst, sol, d=d, arcs=arcs).feasible
 
-    def test_every_commit_keeps_feasibility(self):
+    def test_every_commit_keeps_feasibility(self, monkeypatch):
         rng = random.Random(123)
         inst = random_instance(rng, 8, team_size=3)
         d, arcs = prepared(inst)
-        sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1), debug_check=True)
-        sol = improve(inst, arcs, d, sol, debug_check=True)
+        calls = {"commit": 0, "snapshot": 0}
+        commit = _Workspace._commit
+        snapshot = _Workspace.snapshot
+
+        def checked_commit(ws, m, pos, v, s_new):
+            # mid-construction, a visited vertex may still be short of its
+            # requirement; every other violation is a bug
+            commit(ws, m, pos, v, s_new)
+            calls["commit"] += 1
+            report = check_solution(inst, ws.to_solution(), d=d, arcs=arcs)
+            partial = {
+                u for u in range(1, inst.n_vertices)
+                if 0 < ws.count[u] < inst.requirements[u]
+            }
+            rest = [
+                (family, u) for family, u in report.violations
+                if not (family == "requirement" and u in partial)
+            ]
+            assert rest == [], rest
+
+        def checked_snapshot(ws):
+            # improve snapshots a complete solution before every move
+            calls["snapshot"] += 1
+            report = check_solution(inst, ws.to_solution(), d=d, arcs=arcs)
+            assert report.feasible, report.violations
+            return snapshot(ws)
+
+        monkeypatch.setattr(_Workspace, "_commit", checked_commit)
+        monkeypatch.setattr(_Workspace, "snapshot", checked_snapshot)
+        sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1))
+        sol = improve(inst, arcs, d, sol)
+        assert calls["commit"] > 0 and calls["snapshot"] > 0
         assert check_solution(inst, sol, d=d, arcs=arcs).feasible
 
     def test_slot_floors_drop_only_rejected_slots(self):

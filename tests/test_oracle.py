@@ -10,6 +10,7 @@ from coptw import (
     optimality_gap,
     solve,
 )
+from coptw.oracle import _Search
 
 from bruteforce import best_score_bruteforce
 from conftest import make_instance, random_instance
@@ -56,14 +57,22 @@ class TestExactSolve:
             assert res.proven_optimal
             assert res.best_score == best_score_bruteforce(inst)
 
-    def test_bound_modes_agree(self):
-        rng = random.Random(501)
-        for _ in range(5):
-            inst = random_instance(rng, 5, team_size=2, t_max=300.0)
-            plain = exact_solve(inst, OracleConfig(upper_bound_mode="reward-sum"))
-            filtered = exact_solve(inst, OracleConfig(upper_bound_mode="reachability-filtered"))
-            assert plain.proven_optimal and filtered.proven_optimal
-            assert plain.best_score == filtered.best_score
+    def test_bound_drops_customer_that_cannot_return(self):
+        # customer 2's window is reachable from the depot and from customer
+        # 1, but after its service no member gets back by the horizon
+        inst = make_instance(
+            [
+                (5.0, 0.0, 1.0, 4.0, 0.0, 50.0, 1),
+                (40.0, 0.0, 70.0, 30.0, 0.0, 99.0, 1),
+            ],
+            team_size=2,
+            t_max=100.0,
+        )
+        search = _Search(inst, OracleConfig())
+        assert search.bound_candidates == [1]
+        res = exact_solve(inst)
+        assert res.proven_optimal
+        assert res.best_score == best_score_bruteforce(inst) == 4.0
 
     def test_incumbent_consistency(self):
         rng = random.Random(502)
@@ -97,8 +106,6 @@ class TestExactSolve:
             OracleConfig(node_limit=0)
         with pytest.raises(ValueError):
             OracleConfig(time_limit=-1.0)
-        with pytest.raises(ValueError):
-            OracleConfig(upper_bound_mode="magic")
 
 
 class TestOptimalityGap:
