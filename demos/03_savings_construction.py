@@ -47,7 +47,7 @@ def main():
     print(f"  constructed score {objective(inst, built)}, routes {built.routes}")
     polished = improve(inst, arcs, d, built)
     print(f"  after substitution pass {objective(inst, polished)}, routes {polished.routes}")
-    assert check_solution(inst, polished, d=d, arcs=arcs).feasible
+    assert check_solution(inst, polished).feasible
 
     print("\nfull grid search over all 54 triplets:")
     result = solve(inst)

@@ -33,7 +33,8 @@ from .geometry import ArcSet, build_arc_set, build_distance_matrix
 from .instances import Instance
 from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
                       parameter_grid, saving_terms)
-from .scheduling import Solution, TravelTimes, insert_starts, objective, relax_starts
+from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, objective,
+                         relax_starts)
 
 
 @dataclass
@@ -73,7 +74,7 @@ class _Workspace:
         ws.routes = [list(route) for route in solution.routes]
         ws.count = solution.visit_counts(instance.n_vertices)
         ws.served = set(solution.served)
-        status, s, _, _ = relax_starts(ws.tt, ws.routes, early_abort=False)
+        status, s, _, _ = relax_starts(ws.tt, ws.routes)
         if status != "ok":
             raise ValueError(f"input solution has no feasible schedule: {status}")
         ws.s = s
@@ -200,7 +201,7 @@ class _Workspace:
         for v in doomed:
             self.count[v] = 0
             self.served.discard(v)
-        status, s, _, _ = relax_starts(self.tt, self.routes, early_abort=False)
+        status, s, _, _ = relax_starts(self.tt, self.routes)
         if status != "ok":
             raise AssertionError("removal must never break a feasible schedule")
         self.s = s
@@ -240,17 +241,6 @@ class _Workspace:
             _, m, pos = best
             self.routes[m].insert(pos, v)
             self.count[v] += 1
-        return True
-
-    def arcs_all_valid(self) -> bool:
-        for route in self.routes:
-            prev = 0
-            for v in route:
-                if not self.feas[prev][v]:
-                    return False
-                prev = v
-            if route and not self.feas[prev][0]:
-                return False
         return True
 
 
@@ -298,7 +288,8 @@ def improve(
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome restores the routes,
     so the returned score never drops below the input score.  `tt` is as
-    for construct.
+    for construct.  An input with a late start, a late return or a circular
+    wait raises ValueError.
     """
     ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
     tt = ws.tt
@@ -311,8 +302,6 @@ def improve(
         key=lambda v: (-tt.reward[v], v),
     )
     for v in order:
-        if ws.count[v] != 0:
-            continue
         snap = ws.snapshot()
         if ws.top_up(v):
             continue
@@ -325,10 +314,8 @@ def improve(
         if status == "deadlock":
             ws.restore(snap)
             continue
-        visited = {u for route in ws.routes for u in route}
-        broken = sorted(u for u in visited if s_new[u] > tt.close[u])
-        over_horizon = any(ret > tt.t_max for ret in returns)
-        if not broken and not over_horizon:
+        broken, late_returns = late(tt, ws.routes, s_new, returns)
+        if not broken and not late_returns:
             ws.served.add(v)
             ws.s = s_new
             ws.version += 1
@@ -339,7 +326,7 @@ def improve(
             # starts only grow from the opening times, so an early abort
             # already settles the window and horizon checks
             status2, s2, _, _ = relax_starts(tt, ws.routes)
-            if status2 == "ok" and ws.arcs_all_valid():
+            if status2 == "ok" and next(bad_arcs(ws.feas, ws.routes), None) is None:
                 ws.count[j] = 0
                 ws.served.discard(j)
                 ws.served.add(v)

@@ -13,7 +13,8 @@ routing by monotone relaxation in rounds over every route.  Updates only
 ever increase start times, so it is reached in at most (total visits)
 rounds; a routing still changing after (total visits + 1) rounds contains a
 circular cross-route wait and is reported as a deadlock instead of looping.
-Verification and every other full-schedule question use it.
+Verification and every other full-schedule question use it, reading late
+starts and returns through late() and stray arcs through bad_arcs().
 
 insert_starts answers the searches' one hot question: does inserting one
 visit into a feasible routing keep it feasible, and what are the new
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ArcSet, build_arc_set, build_distance_matrix
+from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance, ParseError
 
 CONSTRAINT_FAMILIES = (
@@ -255,31 +256,55 @@ def _structurally_valid(instance: Instance, solution: Solution) -> bool:
     return all(isinstance(v, int) and 1 <= v < n for v in solution.served)
 
 
-def propagate_schedule(
-    instance: Instance,
-    solution: Solution,
-    d: np.ndarray | None = None,
-) -> Schedule | ScheduleInfeasible:
+def late(tt: TravelTimes, routes: list[list[int]], s: list[float],
+         returns: list[float]) -> tuple[list[int], list[int]]:
+    """The window and horizon verdict on a full fixed point.
+
+    Given the starts and returns of relax_starts(tt, routes,
+    early_abort=False), returns the visited vertices whose start passes
+    their close, in ascending order, and the members whose return passes
+    T_max.
+    """
+    close = tt.close
+    vertices = sorted({v for route in routes for v in route if s[v] > close[v]})
+    members = [m for m, ret in enumerate(returns) if ret > tt.t_max]
+    return vertices, members
+
+
+def bad_arcs(feas, routes: list[list[int]]):
+    """Yield every traversed arc (u, v) with feas[u][v] false, route by
+    route in visiting order, the legs from and back to the depot included."""
+    for route in routes:
+        prev = 0
+        for v in route:
+            if not feas[prev][v]:
+                yield prev, v
+            prev = v
+        if route and not feas[prev][0]:
+            yield prev, 0
+
+
+def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | ScheduleInfeasible:
     """Compute cooperative start times for a structurally valid solution.
 
-    Returns the Schedule at the fixed point, or a diagnosis naming the first
-    (lowest-index) vertex whose fixed-point start misses its window, the
-    first route that returns after the horizon, or a deadlock when the
-    relaxation fails to stabilize within (total visits + 1) rounds.
+    Returns the Schedule at the fixed point, or a diagnosis: a deadlock when
+    the relaxation fails to stabilize within (total visits + 1) rounds, else
+    the first entry late() reports: the lowest-index vertex whose start
+    misses its window or, when there is none, the first member that returns
+    after the horizon.
     """
     if not _structurally_valid(instance, solution):
         raise ValueError("solution is not structurally valid; use check_solution for diagnosis")
-    tt = TravelTimes(instance, d)
+    tt = TravelTimes(instance)
     status, s, returns, rounds = relax_starts(tt, solution.routes, early_abort=False)
     if status == "deadlock":
         return ScheduleInfeasible(kind="deadlock", rounds=rounds)
+    vertices, members = late(tt, solution.routes, s, returns)
+    if vertices:
+        return ScheduleInfeasible(kind="window", vertex=vertices[0], rounds=rounds)
+    if members:
+        return ScheduleInfeasible(kind="horizon", route=members[0], rounds=rounds)
     visited = sorted({v for route in solution.routes for v in route})
-    for v in visited:
-        if s[v] > tt.close[v]:
-            return ScheduleInfeasible(kind="window", vertex=v, rounds=rounds)
-    for m, ret in enumerate(returns):
-        if ret > tt.t_max:
-            return ScheduleInfeasible(kind="horizon", route=m, rounds=rounds)
     starts = {v: s[v] for v in visited}
     arrivals: dict[tuple[int, int], float] = {}
     for m, route in enumerate(solution.routes):
@@ -292,12 +317,7 @@ def propagate_schedule(
     return Schedule(starts=starts, arrivals=arrivals, returns=returns, rounds=rounds)
 
 
-def check_solution(
-    instance: Instance,
-    solution: Solution,
-    d: np.ndarray | None = None,
-    arcs: ArcSet | None = None,
-) -> FeasibilityReport:
+def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
     """Verify a solution against the full constraint set.
 
     Every problem becomes a (family, offender) entry; nothing raises, so the
@@ -308,7 +328,9 @@ def check_solution(
     (propagated service start within the window; starts never precede the
     opening time), horizon (returns by the deadline), deadlock (cross-route
     waits that never stabilize, so no start times exist), arc-feasibility
-    (every traversed arc is in the precomputed arc set).
+    (every traversed arc is in the arc set).  The schedule entries come from
+    late() and the arc entries from bad_arcs(), over one distance matrix
+    built for the travel times and the arc set alike.
     """
     violations: list[tuple[str, object]] = []
     n = instance.n_vertices
@@ -340,36 +362,24 @@ def check_solution(
             violations.append(("requirement", f"served set names unknown vertex {v!r}"))
 
     if ids_ok:
+        d = build_distance_matrix(instance)
         tt = TravelTimes(instance, d)
-        if arcs is None:
-            arcs = build_arc_set(instance, d if d is not None else build_distance_matrix(instance))
-        visited = sorted({v for route in routes for v in route})
         status, s, returns, _ = relax_starts(tt, routes, early_abort=False)
         if status == "deadlock":
             violations.append(("deadlock", "cross-route waits never stabilize"))
         else:
-            for v in visited:
-                if s[v] > tt.close[v]:
-                    violations.append(("window-close", v))
-            for m, ret in enumerate(returns):
-                if ret > tt.t_max:
-                    violations.append(("horizon", f"route {m} returns at {ret}"))
-        feas = arcs.feasible
-        for m, route in enumerate(routes):
-            prev = 0
-            for v in route:
-                if not feas[prev][v]:
-                    violations.append(("arc-feasibility", (prev, v)))
-                prev = v
-            if route and not feas[prev][0]:
-                violations.append(("arc-feasibility", (prev, 0)))
+            vertices, members = late(tt, routes, s, returns)
+            violations += [("window-close", v) for v in vertices]
+            violations += [("horizon", f"route {m} returns at {returns[m]}") for m in members]
+        feas = build_arc_set(instance, d).feasible
+        violations += [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)]
 
         counts = solution.visit_counts(n)
         req = instance.requirements
         for v in sorted(served_ok):
             if counts[v] < req[v]:
                 violations.append(("requirement", v))
-        for v in visited:
+        for v in sorted({v for route in routes for v in route}):
             if v not in served_ok:
                 violations.append(("requirement", v))
 

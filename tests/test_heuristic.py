@@ -1,6 +1,8 @@
 import os
 import random
 
+import pytest
+
 from coptw import (
     SavingParams,
     Solution,
@@ -72,7 +74,7 @@ class TestConstruct:
             counts = sol.visit_counts(inst.n_vertices)
             for v in range(1, inst.n_vertices):
                 assert counts[v] == 0 or counts[v] >= inst.requirements[v]
-            assert check_solution(inst, sol, d=d, arcs=arcs).feasible
+            assert check_solution(inst, sol).feasible
 
     def test_every_commit_keeps_feasibility(self, monkeypatch):
         rng = random.Random(123)
@@ -87,7 +89,7 @@ class TestConstruct:
             # requirement; every other violation is a bug
             commit(ws, m, pos, v, s_new)
             calls["commit"] += 1
-            report = check_solution(inst, ws.to_solution(), d=d, arcs=arcs)
+            report = check_solution(inst, ws.to_solution())
             partial = {
                 u for u in range(1, inst.n_vertices)
                 if 0 < ws.count[u] < inst.requirements[u]
@@ -101,7 +103,7 @@ class TestConstruct:
         def checked_snapshot(ws):
             # improve snapshots a complete solution before every move
             calls["snapshot"] += 1
-            report = check_solution(inst, ws.to_solution(), d=d, arcs=arcs)
+            report = check_solution(inst, ws.to_solution())
             assert report.feasible, report.violations
             return snapshot(ws)
 
@@ -110,7 +112,7 @@ class TestConstruct:
         sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1))
         sol = improve(inst, arcs, d, sol)
         assert calls["commit"] > 0 and calls["snapshot"] > 0
-        assert check_solution(inst, sol, d=d, arcs=arcs).feasible
+        assert check_solution(inst, sol).feasible
 
     def test_slot_floors_drop_only_rejected_slots(self):
         # a non-empty-route slot that _slots leaves out must be one the
@@ -173,7 +175,7 @@ class TestImprove:
         inst = self.swap_instance()
         d, arcs = prepared(inst)
         start = Solution(routes=[[1]], served={1})
-        assert check_solution(inst, start, d=d, arcs=arcs).feasible
+        assert check_solution(inst, start).feasible
         out = improve(inst, arcs, d, start)
         assert out.served == {2}
         assert out.routes == [[2]]
@@ -186,6 +188,25 @@ class TestImprove:
         out = improve(inst, arcs, d, start)
         assert out.routes == [[1]]
         assert out.served == {1}
+
+    @pytest.mark.parametrize(
+        "customers, t_max, routes, violation",
+        [
+            # 2 is reached at 10 + 1 + 10 = 21, after its close at 12
+            ([(10.0, 0.0, 1.0, 5.0, 0.0, 100.0, 1), (20.0, 0.0, 1.0, 5.0, 0.0, 12.0, 1)],
+             1000.0, [[1, 2]], ("window-close", 2)),
+            # the member is back at 40 + 5 + 40 = 85, after the horizon at 84
+            ([(40.0, 0.0, 5.0, 5.0, 0.0, 100.0, 1)], 84.0, [[1]],
+             ("horizon", "route 0 returns at 85.0")),
+        ],
+    )
+    def test_infeasible_input_rejected(self, customers, t_max, routes, violation):
+        inst = make_instance(customers, team_size=1, t_max=t_max)
+        d, arcs = prepared(inst)
+        start = Solution(routes=routes, served=set(range(1, inst.n_vertices)))
+        assert check_solution(inst, start).violations == [violation]
+        with pytest.raises(ValueError):
+            improve(inst, arcs, d, start)
 
     def test_fixed_point_when_nothing_insertable(self):
         inst = make_instance(
@@ -210,7 +231,7 @@ class TestImprove:
             before = construct(inst, arcs, d, SavingParams(0.7, 0.0, 0.7))
             after = improve(inst, arcs, d, before)
             assert objective(inst, after) >= objective(inst, before)
-            assert check_solution(inst, after, d=d, arcs=arcs).feasible
+            assert check_solution(inst, after).feasible
 
 
 class TestSolve:

@@ -1,15 +1,20 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coptw import (
+    Instance,
     ParseError,
     Schedule,
     ScheduleInfeasible,
     Solution,
+    Vertex,
+    build_arc_set,
+    build_distance_matrix,
     check_solution,
     empty_solution,
     format_solution,
@@ -18,6 +23,7 @@ from coptw import (
     propagate_schedule,
 )
 
+from coptw import scheduling
 from coptw.scheduling import TravelTimes, insert_starts, relax_starts
 
 from conftest import make_instance, random_instance
@@ -300,6 +306,92 @@ class TestEarlyAbort:
             assert _bits(returns) == _bits(returns_full)
 
 
+SCHEDULE_FAMILIES = ("window-close", "horizon", "deadlock", "arc-feasibility")
+
+
+def _hand_post_checks(inst, routes):
+    """The hand-written window, horizon and arc scans over a full relaxation
+    that late() and bad_arcs() replaced: the checker's schedule and arc
+    entries, and propagate_schedule's diagnosis (None for a schedule)."""
+    d = build_distance_matrix(inst)
+    tt = TravelTimes(inst, d)
+    status, s, returns, rounds = relax_starts(tt, routes, early_abort=False)
+    entries = []
+    diagnosis = None
+    if status == "deadlock":
+        entries.append(("deadlock", "cross-route waits never stabilize"))
+        diagnosis = ScheduleInfeasible(kind="deadlock", rounds=rounds)
+    else:
+        for v in sorted({v for route in routes for v in route}):
+            if s[v] > tt.close[v]:
+                entries.append(("window-close", v))
+                if diagnosis is None:
+                    diagnosis = ScheduleInfeasible(kind="window", vertex=v, rounds=rounds)
+        for m, ret in enumerate(returns):
+            if ret > tt.t_max:
+                entries.append(("horizon", f"route {m} returns at {ret}"))
+                if diagnosis is None:
+                    diagnosis = ScheduleInfeasible(kind="horizon", route=m, rounds=rounds)
+    feas = build_arc_set(inst, d).feasible
+    for route in routes:
+        prev = 0
+        for v in route:
+            if not feas[prev][v]:
+                entries.append(("arc-feasibility", (prev, v)))
+            prev = v
+        if route and not feas[prev][0]:
+            entries.append(("arc-feasibility", (prev, 0)))
+    return entries, diagnosis, s, returns
+
+
+class TestPostChecks:
+    """late() and bad_arcs() through their callers, against the hand scans."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        team_size=st.integers(1, 4),
+        window=st.sampled_from([20.0, 60.0, 400.0]),
+        horizon=st.sampled_from([1.0, 0.6, 0.3]),
+        pair_service=st.sampled_from([None, 0.0, 1.0]),
+    )
+    def test_same_entries_as_hand_scans(self, seed, n, team_size, window, horizon,
+                                        pair_service):
+        # pair_service adds two coincident customers that two routes visit
+        # in crossed order: a zero-weight cycle that must converge at 0.0,
+        # a circular wait (deadlock) at 1.0
+        rng = random.Random(seed)
+        base = random_instance(rng, n, team_size=team_size, window=window)
+        t_max = base.t_max * horizon  # windows fit the full horizon
+        vertices = [replace(base.vertices[0], close=t_max)] + base.vertices[1:]
+        requirements = list(base.requirements)
+        customers = range(1, base.n_vertices)
+        routes = [rng.sample(customers, rng.randint(0, n)) for _ in range(team_size)]
+        if pair_service is not None:
+            a, b = len(vertices), len(vertices) + 1
+            x, y = rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)
+            for u in (a, b):
+                vertices.append(Vertex(u, x, y, pair_service, 5.0, 0.0, t_max))
+                requirements.append(2)
+            routes[0] += [a, b]
+            if team_size > 1:
+                routes[1] += [b, a]
+        inst = Instance(vertices=vertices, requirements=requirements,
+                        team_size=team_size, t_max=t_max)
+        sol = Solution(routes=routes, served=set())
+        entries, diagnosis, s, returns = _hand_post_checks(inst, routes)
+        report = check_solution(inst, sol)
+        assert [e for e in report.violations if e[0] in SCHEDULE_FAMILIES] == entries
+        got = propagate_schedule(inst, sol)
+        if diagnosis is None:
+            assert isinstance(got, Schedule)
+            assert got.starts == {v: s[v] for route in routes for v in route}
+            assert _bits(got.returns) == _bits(returns)
+        else:
+            assert got == diagnosis
+
+
 class TestChecker:
     def test_all_empty_routes_feasible(self):
         inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=3, t_max=100.0)
@@ -389,6 +481,21 @@ class TestChecker:
         )
         report = check_solution(inst, Solution(routes=[[1, 2], [2, 1]], served={1, 2}))
         assert families(report) == ["deadlock"]
+
+    def test_one_distance_matrix_per_check(self, monkeypatch):
+        # the travel times and the arc set share one matrix
+        builds = []
+
+        def counted(instance):
+            builds.append(instance)
+            return build_distance_matrix(instance)
+
+        monkeypatch.setattr(scheduling, "build_distance_matrix", counted)
+        inst = random_instance(random.Random(4), 5, team_size=2)
+        for routes in ([[], []], [[1, 2], [3]], [[1, 2], [2, 1]], [[4, 5, 1], [5]]):
+            builds.clear()
+            check_solution(inst, Solution(routes=routes, served={1}))
+            assert len(builds) == 1, routes
 
 
 class TestObjective:
