@@ -310,12 +310,9 @@ def improve(
         if not ws.force_place(v):
             ws.restore(snap)
             continue
-        status, s_new, returns, _ = relax_starts(tt, ws.routes, early_abort=False)
-        if status == "deadlock":
-            ws.restore(snap)
-            continue
-        broken, late_returns = late(tt, ws.routes, s_new, returns)
-        if not broken and not late_returns:
+        status, s_new, returns, _ = relax_starts(tt, ws.routes)
+        broken = late(tt, ws.routes, s_new, returns)[0] if status == "window" else []
+        if status == "ok":
             ws.served.add(v)
             ws.s = s_new
             ws.version += 1
@@ -323,8 +320,6 @@ def improve(
             j = broken[0]
             for route in ws.routes:
                 route[:] = [u for u in route if u != j]
-            # starts only grow from the opening times, so an early abort
-            # already settles the window and horizon checks
             status2, s2, _, _ = relax_starts(tt, ws.routes)
             if status2 == "ok" and next(bad_arcs(ws.feas, ws.routes), None) is None:
                 ws.count[j] = 0

@@ -95,8 +95,8 @@ class Instance:
             raise ValidationError("customer requirements must be at least 1")
         if self.team_size < 1:
             raise ValidationError("team size must be at least 1")
-        if self.velocity <= 0:
-            raise ValidationError("velocity must be positive")
+        if not 0 < self.velocity < float("inf"):  # NaN fails both comparisons
+            raise ValidationError(f"velocity must be positive and finite, got {self.velocity}")
         depot = self.vertices[0]
         if depot.duration != 0:
             raise ValidationError("depot service duration must be 0")

@@ -139,8 +139,6 @@ class _Search:
             [v for v in route if self.count[v] >= self.req[v]]
             for route in self.routes
         ]
-        # starts only grow from the opening times, so an early abort
-        # already settles the window and horizon checks
         if relax_starts(self.tt, stripped)[0] == "ok":
             self.best_score = self.score
             self.best_routes = [list(r) for r in stripped if r]

@@ -8,13 +8,13 @@ other routes; start times are therefore the least fixed point of
 
     s_v = max(o_v, latest arrival of any member visiting v)
 
-Two routines compute it.  relax_starts finds the fixed point of a whole
-routing by monotone relaxation in rounds over every route.  Updates only
-ever increase start times, so it is reached in at most (total visits)
-rounds; a routing still changing after (total visits + 1) rounds contains a
-circular cross-route wait and is reported as a deadlock instead of looping.
-Verification and every other full-schedule question use it, reading late
-starts and returns through late() and stray arcs through bad_arcs().
+Two routines compute it.  relax_starts, which takes no options, settles a
+whole routing in one topological pass over its visits (an edge per route
+successor pair), then relaxes in rounds only the visits on a cycle or
+behind one; a cycle still changing after their count + 1 rounds is a
+circular cross-route wait, reported as a deadlock instead of looping.
+Every full-schedule question uses it, reading late starts and returns
+through late() and stray arcs through bad_arcs().
 
 insert_starts answers the searches' one hot question: does inserting one
 visit into a feasible routing keep it feasible, and what are the new
@@ -91,7 +91,7 @@ class ScheduleInfeasible:
             return f"vertex {self.vertex} cannot start service before its window closes"
         if self.kind == "horizon":
             return f"route {self.route} cannot return to the depot by the horizon"
-        return f"cross-route deadlock: start times still changing after {self.rounds} rounds"
+        return f"cross-route deadlock: starts on a cycle still change after {self.rounds} rounds"
 
 
 @dataclass
@@ -118,59 +118,64 @@ class TravelTimes:
         self.n = instance.n_vertices
 
 
-def relax_starts(
-    tt: TravelTimes,
-    routes: list[list[int]],
-    s0: list[float] | None = None,
-    early_abort: bool = True,
-) -> tuple[str, list[float], list[float], int]:
-    """Iterate the start-time update to its fixed point.
+def relax_starts(tt: TravelTimes,
+                 routes: list[list[int]]) -> tuple[str, list[float], list[float], int]:
+    """The least fixed point of the start-time update over whole routes.
 
-    Returns (status, starts, returns, rounds) with status one of 'ok',
-    'window', 'horizon', 'deadlock'.  s0, when given, must lie at or below
-    the fixed point (e.g. the previous fixed point before an insertion);
-    iterates then only grow, so with early_abort a violation seen at any
-    round is already final and the search for the fixed point can stop.
+    Returns (status, starts, returns, rounds): status is 'deadlock' for a
+    circular wait, else 'window' or 'horizon' when late() reports a late
+    start or return, else 'ok'.  In Kahn's order a start is settled once
+    all its predecessors are; the vertices left on a cycle or behind one
+    take `rounds` (0 when acyclic), at most their count + 1.  The result
+    is that of relaxing every route in rounds from the opening times, bit
+    for bit.
     """
     t = tt.t
     dur = tt.dur
-    opens = tt.open
-    close = tt.close
-    visited: list[int] = sorted({v for route in routes for v in route})
-    total = sum(len(route) for route in routes)
-    cap = total + 1
-    s = list(opens) if s0 is None else list(s0)
-    returns = [0.0] * len(routes)
+    s = list(tt.open)
+    succ: dict[int, list[int]] = {v: [] for route in routes for v in route}
+    indeg = dict.fromkeys(succ, 0)
+    for route in routes:
+        if route and t[0][route[0]] > s[route[0]]:
+            s[route[0]] = t[0][route[0]]
+        for u, v in zip(route, route[1:]):
+            succ[u].append(v)
+            indeg[v] += 1
+
+    def arrive(u, starts):  # raise u's successors in `starts` to u's arrivals
+        depart = s[u] + dur[u]
+        for v in succ[u]:
+            if (arr := depart + t[u][v]) > starts[v]:
+                starts[v] = arr
+
+    # s[v] is the latest input of v seen so far, final once indeg[v] is 0
+    ready = [v for v, k in indeg.items() if not k]
+    for u in ready:
+        arrive(u, s)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    # the rest lie on a cycle or behind one, and so do their successors;
+    # every round starts them from their opening and settled inputs
+    left = {v: s[v] for v, k in indeg.items() if k}
     rounds = 0
-    while rounds < cap:
+    changed = bool(left)
+    while changed and rounds <= len(left):
         rounds += 1
-        new_s = list(opens)
-        for m, route in enumerate(routes):
-            depart = 0.0
-            prev = 0
-            for v in route:
-                arr = depart + t[prev][v]
-                if arr > new_s[v]:
-                    new_s[v] = arr
-                depart = s[v] + dur[v]
-                prev = v
-            returns[m] = depart + t[prev][0] if route else 0.0
-        if early_abort:
-            for v in visited:
-                if new_s[v] > close[v]:
-                    return "window", new_s, returns, rounds
-            for ret in returns:
-                if ret > tt.t_max:
-                    return "horizon", new_s, returns, rounds
+        new_s = dict(left)
+        for u in left:
+            arrive(u, new_s)
         changed = False
-        for v in visited:
-            if new_s[v] != s[v]:
+        for v, start in new_s.items():
+            if start != s[v]:
+                s[v] = start
                 changed = True
-                break
-        s = new_s
-        if not changed:
-            return "ok", s, returns, rounds
-    return "deadlock", s, returns, rounds
+    returns = [s[r[-1]] + dur[r[-1]] + t[r[-1]][0] if r else 0.0 for r in routes]
+    if changed:
+        return "deadlock", s, returns, rounds
+    vertices, members = late(tt, routes, s, returns)
+    return "window" if vertices else "horizon" if members else "ok", s, returns, rounds
 
 
 def insert_starts(
@@ -189,7 +194,7 @@ def insert_starts(
     start queues the vertex's successors on every route.  A start is
     recomputed, never raised to max(old, new): replacing an arc u -> w by
     u -> v -> w can lower w's arrival by one rounding step.  The result is
-    therefore relax_starts(tt, routes, s0=s) bit for bit.
+    therefore the starts of relax_starts(tt, routes) bit for bit.
 
     Returns None at the first start past its window or return past the
     horizon, and when the inserted visit's start would rise a second time:
@@ -260,10 +265,9 @@ def late(tt: TravelTimes, routes: list[list[int]], s: list[float],
          returns: list[float]) -> tuple[list[int], list[int]]:
     """The window and horizon verdict on a full fixed point.
 
-    Given the starts and returns of relax_starts(tt, routes,
-    early_abort=False), returns the visited vertices whose start passes
-    their close, in ascending order, and the members whose return passes
-    T_max.
+    Given the starts and returns of relax_starts(tt, routes) that is not a
+    deadlock, returns the visited vertices whose start passes their close,
+    in ascending order, and the members whose return passes T_max.
     """
     close = tt.close
     vertices = sorted({v for route in routes for v in route if s[v] > close[v]})
@@ -288,22 +292,20 @@ def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | Sch
     """Compute cooperative start times for a structurally valid solution.
 
     Returns the Schedule at the fixed point, or a diagnosis: a deadlock when
-    the relaxation fails to stabilize within (total visits + 1) rounds, else
-    the first entry late() reports: the lowest-index vertex whose start
-    misses its window or, when there is none, the first member that returns
-    after the horizon.
+    the starts on a cycle still change after their count + 1 rounds, else
+    the first entry late() reports: the lowest-index late start or, when
+    there is none, the first member back after the horizon.  `rounds` are
+    relax_starts' rounds on cycles, 0 for an acyclic routing.
     """
     if not _structurally_valid(instance, solution):
         raise ValueError("solution is not structurally valid; use check_solution for diagnosis")
     tt = TravelTimes(instance)
-    status, s, returns, rounds = relax_starts(tt, solution.routes, early_abort=False)
-    if status == "deadlock":
-        return ScheduleInfeasible(kind="deadlock", rounds=rounds)
-    vertices, members = late(tt, solution.routes, s, returns)
-    if vertices:
-        return ScheduleInfeasible(kind="window", vertex=vertices[0], rounds=rounds)
-    if members:
-        return ScheduleInfeasible(kind="horizon", route=members[0], rounds=rounds)
+    status, s, returns, rounds = relax_starts(tt, solution.routes)
+    if status != "ok":
+        vertices, members = late(tt, solution.routes, s, returns)
+        return ScheduleInfeasible(kind=status, rounds=rounds,
+                                  vertex=vertices[0] if status == "window" else None,
+                                  route=members[0] if status == "horizon" else None)
     visited = sorted({v for route in solution.routes for v in route})
     starts = {v: s[v] for v in visited}
     arrivals: dict[tuple[int, int], float] = {}
@@ -364,7 +366,7 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
     if ids_ok:
         d = build_distance_matrix(instance)
         tt = TravelTimes(instance, d)
-        status, s, returns, _ = relax_starts(tt, routes, early_abort=False)
+        status, s, returns, _ = relax_starts(tt, routes)
         if status == "deadlock":
             violations.append(("deadlock", "cross-route waits never stabilize"))
         else:
@@ -417,11 +419,14 @@ def parse_solution(text: str, instance: Instance) -> tuple[Solution, float]:
         if not stripped:
             continue
         if stripped.startswith("member"):
-            head, _, tail = stripped.partition(":")
+            head, colon, tail = stripped.partition(":")
+            words = head.split()
+            if not colon or len(words) != 2 or words[0] != "member":
+                raise ParseError(f"line {lineno}: expected 'member <k>:'")
             try:
-                member = int(head.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: malformed member line") from None
+                member = int(words[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed member number") from None
             if member != len(routes) + 1:
                 raise ParseError(f"line {lineno}: expected member {len(routes) + 1}, got {member}")
             try:

@@ -116,6 +116,25 @@ class TestSolveVerifyOracle:
         alien.write_text("member 1: 42\nmember 2:\nscore: 5.0\n")
         assert main(["verify", str(inst_path), str(alien)]) == 2
 
+    def test_nonfinite_velocity_exit_2(self, tmp_path):
+        src, _ = write_inputs(tmp_path)
+        inst_path = self.make_coptw(tmp_path)
+        lines = inst_path.read_text().splitlines()
+        for velocity in ("nan", "inf"):
+            n, p, t_max, _ = lines[1].split()
+            lines[1] = f"{n} {p} {t_max} {velocity}"
+            inst_path.write_text("\n".join(lines) + "\n")
+            assert main(["solve", str(inst_path)]) == 2
+            assert not inst_path.with_suffix(".sol").exists()
+            assert main(["augment", str(src), "-o", str(tmp_path / "v.coptw"),
+                         "-V", velocity]) == 2
+
+    def test_member_line_without_colon_exit_2(self, tmp_path):
+        inst_path = self.make_coptw(tmp_path)
+        sol_path = tmp_path / "inst.sol"
+        sol_path.write_text("member 1 1\nmember 2:\nscore: 0.0\n")
+        assert main(["verify", str(inst_path), str(sol_path)]) == 2
+
     def test_workers_below_one_exit_2(self, tmp_path):
         inst_path = self.make_coptw(tmp_path)
         for argv in (["solve", str(inst_path)], ["bench", str(tmp_path), "-o", "x.csv"]):

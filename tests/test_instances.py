@@ -1,15 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coptw import (
     Instance,
     ParseError,
+    Solution,
     ValidationError,
     augment,
+    format_solution,
     parse_benchmark,
     parse_cordeau,
     parse_solomon,
+    parse_solution,
     read_coptw,
     splitmix64,
     truncate,
@@ -209,7 +214,62 @@ class TestInstanceInvariants:
                 t_max=raw.t_max + 1,
             )
 
+    @pytest.mark.parametrize("velocity", [math.nan, math.inf, 0.0, -1.0])
+    def test_velocity_must_be_positive_and_finite(self, velocity):
+        # NaN slipped past `velocity <= 0`; inf made every travel time 0
+        raw = parse_solomon(SOLOMON_SAMPLE)
+        with pytest.raises(ValidationError, match="velocity"):
+            augment(raw, seed=1, velocity=velocity)
+        text = write_coptw(augment(raw, seed=1)).replace(" 1.0\n", f" {velocity!r}\n", 1)
+        with pytest.raises(ValidationError, match="velocity"):
+            read_coptw(text)
+
     def test_nonfinite_coordinates_rejected(self):
         text = SOLOMON_SAMPLE.replace("45.0 68.0", f"{math.inf} 68.0")
         with pytest.raises(ValidationError):
             parse_solomon(text)
+
+
+FUZZ_INSTANCE = augment(parse_solomon(SOLOMON_SAMPLE), seed=5, team_size=2)
+VALID_TEXTS = (
+    SOLOMON_SAMPLE,
+    CORDEAU_SAMPLE,
+    write_coptw(FUZZ_INSTANCE),
+    format_solution(Solution(routes=[[3, 1], [1]], served={1, 3}), 20.0),
+)
+# pieces that sit on the readers' edges: separators, signs, non-finite and
+# out-of-range numbers, keywords of every format, control characters
+PIECES = st.sampled_from(
+    ["", " ", "\n", "\r\n", "\t", ":", "*", "-", ".", "_", "0", "1", "-1", "7", "nan",
+     "inf", "-inf", "1e999", "5e-324", "9" * 40, "member", "score:", "COPTW", "x",
+     "\x00", "\u0661", "\u00a0"]
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid file of any reader with a few spans replaced."""
+    text = draw(st.sampled_from(VALID_TEXTS))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        text = text[:i] + draw(PIECES | st.text(max_size=4)) + text[j:]
+    return text
+
+
+class TestReaderFuzz:
+    """The readers reject any text with ParseError or ValidationError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(st.text(), mutated_texts()))
+    def test_only_input_errors_escape(self, text):
+        readers = (
+            parse_benchmark,
+            read_coptw,
+            lambda t: parse_solution(t, FUZZ_INSTANCE),
+        )
+        for read in readers:
+            try:
+                read(text)
+            except (ParseError, ValidationError):
+                pass

@@ -17,10 +17,12 @@ from coptw import (
     build_distance_matrix,
     check_solution,
     empty_solution,
+    exact_solve,
     format_solution,
     objective,
     parse_solution,
     propagate_schedule,
+    solve,
 )
 
 from coptw import scheduling
@@ -182,7 +184,8 @@ def _bits(starts):
 
 
 class TestInsertStarts:
-    """insert_starts against relax_starts(s0=...), its Jacobi reference."""
+    """insert_starts against relax_starts, the least fixed point it must
+    reach."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -206,7 +209,7 @@ class TestInsertStarts:
                 continue
             pos = rng.randint(0, len(routes[m]))
             routes[m].insert(pos, v)
-            status, expected, _, _ = relax_starts(tt, routes, s0=s)
+            status, expected, _, _ = relax_starts(tt, routes)
             got = insert_starts(tt, routes, s, m, pos)
             if status == "ok":
                 assert got is not None
@@ -264,46 +267,121 @@ class TestInsertStarts:
         ],
     )
     def test_exact_close_and_horizon(self, close, t_max, feasible):
+        # every layer serves the customer exactly at its close and back at
+        # T_max, and none does one ulp earlier
         inst = make_instance([(3.0, 4.0, 2.0, 7.0, 0.0, close, 1)], team_size=1, t_max=t_max)
         tt = TravelTimes(inst)
         got = insert_starts(tt, [[1]], tt.open, 0, 0)
         assert (got is not None) == feasible
         assert check_solution(inst, Solution(routes=[[1]], served={1})).feasible == feasible
+        assert (relax_starts(tt, [[1]])[0] == "ok") == feasible
+        score = 7.0 if feasible else 0.0
+        result = solve(inst)
+        assert result.best_score == score
+        assert result.best_solution.routes == ([[1]] if feasible else [[]])
+        assert exact_solve(inst).best_score == score
         if feasible:
             assert got[1] == 5.0
 
 
-class TestEarlyAbort:
-    """relax_starts' early abort against the full run it shortens."""
+def _jacobi(tt, routes):
+    """The start-time update in rounds over every route from the opening
+    times, to its fixed point or a deadlock after visits + 1 rounds: the
+    whole-routing relaxation that relax_starts' topological pass replaced.
+    Returns (status, starts, returns) with status 'ok' or 'deadlock'."""
+    t, dur, opens = tt.t, tt.dur, tt.open
+    visited = sorted({v for route in routes for v in route})
+    s = list(opens)
+    returns = [0.0] * len(routes)
+    for _ in range(sum(len(route) for route in routes) + 1):
+        new_s = list(opens)
+        for m, route in enumerate(routes):
+            depart = 0.0
+            prev = 0
+            for v in route:
+                arr = depart + t[prev][v]
+                if arr > new_s[v]:
+                    new_s[v] = arr
+                depart = s[v] + dur[v]
+                prev = v
+            returns[m] = depart + t[prev][0] if route else 0.0
+        changed = any(new_s[v] != s[v] for v in visited)
+        s = new_s
+        if not changed:
+            return "ok", s, returns
+    return "deadlock", s, returns
 
-    @settings(max_examples=150, deadline=None)
+
+def _crossed_pair_routing(rng, n, team_size, window, horizon, pair_service):
+    """A random instance and routing with the horizon scaled by `horizon`
+    (the windows fit the full one, so late returns need a shorter one).
+    Unless pair_service is None, two coincident customers with that service
+    are visited in crossed order by the first two routes, each pair placed
+    at a random position so that the visits after it form a tail behind
+    the cycle: a zero-weight cycle that must converge at 0.0, a circular
+    wait (deadlock) at 1.0."""
+    base = random_instance(rng, n, team_size=team_size, window=window)
+    t_max = base.t_max * horizon
+    vertices = [replace(base.vertices[0], close=t_max)] + base.vertices[1:]
+    requirements = list(base.requirements)
+    customers = range(1, base.n_vertices)
+    routes = [rng.sample(customers, rng.randint(0, n)) for _ in range(team_size)]
+    if pair_service is not None:
+        a, b = len(vertices), len(vertices) + 1
+        x, y = rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)
+        for u in (a, b):
+            vertices.append(Vertex(u, x, y, pair_service, 5.0, 0.0, t_max))
+            requirements.append(2)
+        for route, pair in zip(routes, ([a, b], [b, a])):
+            i = rng.randint(0, len(route))
+            route[i:i] = pair
+    inst = Instance(vertices=vertices, requirements=requirements,
+                    team_size=team_size, t_max=t_max)
+    return inst, routes
+
+
+class TestRelaxStarts:
+    """relax_starts' topological pass against the relaxation in rounds."""
+
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 8),
         team_size=st.integers(1, 4),
         window=st.sampled_from([20.0, 60.0, 400.0]),
         horizon=st.sampled_from([1.0, 0.6, 0.3]),
+        pair_service=st.sampled_from([None, 0.0, 1.0]),
     )
-    def test_same_verdict_as_full_run(self, seed, n, team_size, window, horizon):
-        # starts only grow from the opening times, so a breach seen at any
-        # round is still there at the fixed point and aborting is safe
+    def test_matches_rounds_over_every_route(self, seed, n, team_size, window, horizon,
+                                             pair_service):
         rng = random.Random(seed)
-        inst = random_instance(rng, n, team_size=team_size, window=window)
+        inst, routes = _crossed_pair_routing(rng, n, team_size, window, horizon,
+                                             pair_service)
         tt = TravelTimes(inst)
-        tt.t_max *= horizon  # windows fit the full horizon; late returns need a shorter one
-        customers = range(1, inst.n_vertices)
-        routes = [rng.sample(customers, rng.randint(0, n)) for _ in range(team_size)]
-        status, s, returns, _ = relax_starts(tt, routes)
-        full, s_full, returns_full, _ = relax_starts(tt, routes, early_abort=False)
-        full_ok = (
-            full == "ok"
-            and all(s_full[v] <= tt.close[v] for route in routes for v in route)
-            and all(ret <= tt.t_max for ret in returns_full)
+        status, s, returns, rounds = relax_starts(tt, routes)
+        ref, s_ref, returns_ref = _jacobi(tt, routes)
+        assert 0 <= rounds <= sum(len(route) for route in routes) + 1
+        if ref == "deadlock":
+            assert status == "deadlock"
+            return
+        if any(s_ref[v] > tt.close[v] for route in routes for v in route):
+            ref = "window"
+        elif any(ret > tt.t_max for ret in returns_ref):
+            ref = "horizon"
+        assert status == ref
+        assert _bits(s) == _bits(s_ref)
+        assert _bits(returns) == _bits(returns_ref)
+
+    def test_acyclic_routing_takes_no_rounds(self):
+        inst = make_instance(
+            [(3.0, 4.0, 2.0, 7.0, 0.0, 50.0, 2), (6.0, 8.0, 1.0, 5.0, 0.0, 50.0, 2)],
+            team_size=2,
+            t_max=100.0,
         )
-        assert (status == "ok") == full_ok, (status, full)
-        if status == full == "ok":
-            assert _bits(s) == _bits(s_full)
-            assert _bits(returns) == _bits(returns_full)
+        status, s, returns, rounds = relax_starts(TravelTimes(inst), [[1, 2], [2]])
+        assert (status, rounds) == ("ok", 0)
+        assert s[1:] == [5.0, 12.0]
+        assert returns == [23.0, 23.0]
 
 
 SCHEDULE_FAMILIES = ("window-close", "horizon", "deadlock", "arc-feasibility")
@@ -315,7 +393,7 @@ def _hand_post_checks(inst, routes):
     entries, and propagate_schedule's diagnosis (None for a schedule)."""
     d = build_distance_matrix(inst)
     tt = TravelTimes(inst, d)
-    status, s, returns, rounds = relax_starts(tt, routes, early_abort=False)
+    status, s, returns, rounds = relax_starts(tt, routes)
     entries = []
     diagnosis = None
     if status == "deadlock":
@@ -358,27 +436,9 @@ class TestPostChecks:
     )
     def test_same_entries_as_hand_scans(self, seed, n, team_size, window, horizon,
                                         pair_service):
-        # pair_service adds two coincident customers that two routes visit
-        # in crossed order: a zero-weight cycle that must converge at 0.0,
-        # a circular wait (deadlock) at 1.0
         rng = random.Random(seed)
-        base = random_instance(rng, n, team_size=team_size, window=window)
-        t_max = base.t_max * horizon  # windows fit the full horizon
-        vertices = [replace(base.vertices[0], close=t_max)] + base.vertices[1:]
-        requirements = list(base.requirements)
-        customers = range(1, base.n_vertices)
-        routes = [rng.sample(customers, rng.randint(0, n)) for _ in range(team_size)]
-        if pair_service is not None:
-            a, b = len(vertices), len(vertices) + 1
-            x, y = rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)
-            for u in (a, b):
-                vertices.append(Vertex(u, x, y, pair_service, 5.0, 0.0, t_max))
-                requirements.append(2)
-            routes[0] += [a, b]
-            if team_size > 1:
-                routes[1] += [b, a]
-        inst = Instance(vertices=vertices, requirements=requirements,
-                        team_size=team_size, t_max=t_max)
+        inst, routes = _crossed_pair_routing(rng, n, team_size, window, horizon,
+                                             pair_service)
         sol = Solution(routes=routes, served=set())
         entries, diagnosis, s, returns = _hand_post_checks(inst, routes)
         report = check_solution(inst, sol)
@@ -546,3 +606,11 @@ class TestSolutionText:
             parse_solution("member 1: 1\n", inst)
         with pytest.raises(ParseError):
             parse_solution("member 1: x\nscore: 1\n", inst)
+
+    @pytest.mark.parametrize("line", ["member 1 1", "member 1", "membership 1: 1",
+                                      "member 1 2: 1", "member: 1"])
+    def test_member_line_needs_exactly_member_k_colon(self, line):
+        # without the colon "member 1 1" used to parse as an empty route
+        inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=1, t_max=50.0)
+        with pytest.raises(ParseError):
+            parse_solution(f"{line}\nscore: 0.0\n", inst)
