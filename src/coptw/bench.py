@@ -136,6 +136,9 @@ def run_bench(
     rows with empty numeric columns and the harness moves on."""
     if log is None:
         log = sys.stderr
+    # a bad limit is an input error for the whole run; inside the loop it
+    # would only be recorded as a failed row, once per row
+    OracleConfig(time_limit=oracle_limit)
     rows: list[BenchRow] = []
     for path in sorted(files):
         set_name = set_name_of(path)

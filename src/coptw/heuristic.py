@@ -15,17 +15,22 @@ visits at the cheapest arc-valid positions regardless of the schedule and,
 if that breaks exactly one served vertex worth no more than the newcomer,
 trades the two.  Any other breakage restores the previous routes.
 
-A full run evaluates all 54 coefficient triplets, each triplet acting as a
-fresh construction trajectory with one improvement pass, and keeps the best
-score (earliest triplet wins ties).  Triplets are independent, so they can
-be evaluated in parallel processes without changing the result.
+A full run has two phases.  It first constructs one solution for each of
+the 54 coefficient triplets; many triplets walk their pair lists to the
+same routes.  It then runs the improvement pass once per distinct
+construction, keyed by its routes, and maps the results back onto the grid,
+keeping the best score (earliest triplet wins ties).  The calls within a
+phase are independent, so they can run in parallel processes without
+changing the result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -334,18 +339,6 @@ def improve(
     return ws.to_solution()
 
 
-def _solve_one(instance: Instance, params: SavingParams, d: np.ndarray,
-               arcs: ArcSet, tt: TravelTimes,
-               terms: SavingTerms | None = None) -> tuple[float, Solution]:
-    sol = construct(instance, arcs, d, params, tt, terms)
-    sol = improve(instance, arcs, d, sol, tt)
-    return objective(instance, sol), sol
-
-
-def _solve_one_packed(args) -> tuple[float, Solution]:
-    return _solve_one(*args)
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes for `tasks` independent jobs: never more than the
     jobs or the machine's CPUs, since the pool starts every worker at once."""
@@ -353,27 +346,45 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def solve(instance: Instance, workers: int = 1) -> SolverResult:
-    """Run construction + improvement for every coefficient triplet and keep
-    the best solution.  Deterministic for a fixed instance: parallel workers
-    change nothing but the wall time.  The distances, arcs, travel times
-    and saving terms are built once and shared by every triplet."""
+    """Construct every coefficient triplet, improve each distinct
+    construction once and keep the best solution.
+
+    Phase 1 calls `construct` for every triplet in grid order.  Phase 2
+    calls `improve` once per distinct construction, in first-seen grid
+    order.  The key is the routes, member order included; it is exact
+    because a construction's served set is its visited set and `improve`
+    is deterministic.  Each triplet then takes the improved result of its
+    construction, so `triplet_scores` has one entry per triplet and the
+    earliest triplet wins ties.  With `workers` above 1 both phases run on
+    one process pool, which changes nothing but the wall time.  The
+    distances, arcs, travel times and saving terms are built once and
+    shared by every call."""
     t0 = time.perf_counter()
     grid = parameter_grid()
     d = build_distance_matrix(instance)
     arcs = build_arc_set(instance, d)
     tt = TravelTimes(instance, d)
     terms = saving_terms(instance, d, arcs)
-    tasks = [(instance, params, d, arcs, tt, terms) for params in grid]
-    processes = _pool_size(workers, len(tasks))
-    if processes == 1:
-        outcomes = list(map(_solve_one_packed, tasks))
-    else:
-        # imported only here: the process machinery adds ~30 ms to every
-        # import of the package, and serial solves never use it
-        from concurrent.futures import ProcessPoolExecutor
+    processes = _pool_size(workers, len(grid))
+    with contextlib.ExitStack() as stack:
+        if processes == 1:
+            run = map
+        else:
+            # imported only here: the process machinery adds ~30 ms to every
+            # import of the package, and serial solves never use it
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_solve_one_packed, tasks))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map
+        built = list(run(construct, repeat(instance), repeat(arcs), repeat(d), grid,
+                         repeat(tt), repeat(terms)))
+        keys = [tuple(map(tuple, sol.routes)) for sol in built]
+        distinct: dict[tuple, Solution] = {}  # routes -> construction, first seen first
+        for key, sol in zip(keys, built):
+            distinct.setdefault(key, sol)
+        improved = run(improve, repeat(instance), repeat(arcs), repeat(d), distinct.values(),
+                       repeat(tt))
+        results = {key: (objective(instance, sol), sol) for key, sol in zip(distinct, improved)}
+    outcomes = [results[key] for key in keys]
     best_idx = 0
     for idx in range(1, len(outcomes)):
         if outcomes[idx][0] > outcomes[best_idx][0]:

@@ -28,12 +28,18 @@ from .scheduling import Solution, TravelTimes, insert_starts, relax_starts
 
 @dataclass
 class OracleConfig:
+    """Search limits; `time_limit` is in seconds and `inf` means none."""
+
     node_limit: int = 10**9
     time_limit: float = 300.0
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("limits must be positive")
+        # NaN fails every comparison: `nan <= 0` would let it through as a
+        # limit the deadline check never reaches
+        if not (self.node_limit > 0 and self.time_limit > 0):
+            raise ValueError(
+                f"limits must be positive, got node_limit={self.node_limit}, "
+                f"time_limit={self.time_limit}")
 
 
 @dataclass

@@ -27,6 +27,7 @@ that visit's start reveals a circular wait at once.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -410,7 +411,8 @@ def parse_solution(text: str, instance: Instance) -> tuple[Solution, float]:
     The served set is reconstructed from visit counts: a vertex is served
     when it is visited by at least its required number of members.  Returns
     the solution and the score recorded in the file (the caller re-verifies
-    it against the instance).
+    it against the instance).  The file must claim exactly one finite
+    score.
     """
     routes: list[list[int]] = []
     score: float | None = None
@@ -434,10 +436,14 @@ def parse_solution(text: str, instance: Instance) -> tuple[Solution, float]:
             except ValueError:
                 raise ParseError(f"line {lineno}: route vertices must be integers") from None
         elif stripped.startswith("score:"):
+            if score is not None:
+                raise ParseError(f"line {lineno}: second score line")
             try:
                 score = float(stripped.split(":", 1)[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed score") from None
+            if not math.isfinite(score):
+                raise ParseError(f"line {lineno}: score must be finite, got {score}")
         else:
             raise ParseError(f"line {lineno}: unrecognized line {stripped!r}")
     if score is None:

@@ -135,6 +135,14 @@ class TestSolveVerifyOracle:
         sol_path.write_text("member 1 1\nmember 2:\nscore: 0.0\n")
         assert main(["verify", str(inst_path), str(sol_path)]) == 2
 
+    @pytest.mark.parametrize("scores", [["0.0", "5.0"], ["nan"], ["inf"]])
+    def test_bad_score_claim_exit_2(self, tmp_path, scores):
+        # both used to exit 1 with "file claims score ..."
+        inst_path = self.make_coptw(tmp_path)
+        sol_path = tmp_path / "inst.sol"
+        sol_path.write_text("member 1:\nmember 2:\n" + "".join(f"score: {v}\n" for v in scores))
+        assert main(["verify", str(inst_path), str(sol_path)]) == 2
+
     def test_workers_below_one_exit_2(self, tmp_path):
         inst_path = self.make_coptw(tmp_path)
         for argv in (["solve", str(inst_path)], ["bench", str(tmp_path), "-o", "x.csv"]):
@@ -152,6 +160,13 @@ class TestSolveVerifyOracle:
         inst_path = self.make_coptw(tmp_path)
         assert main(["oracle", str(inst_path), "--node-limit", "3"]) == 0
         assert "not proven" in capsys.readouterr().out
+
+    def test_oracle_nan_time_limit_exit_2(self, tmp_path, capsys):
+        # nan used to pass the check and silently drop the time limit
+        inst_path = self.make_coptw(tmp_path)
+        assert main(["oracle", str(inst_path), "--time-limit", "nan"]) == 2
+        assert main(["oracle", str(inst_path), "--time-limit", "inf"]) == 0
+        assert "proven optimal" in capsys.readouterr().out
 
     def test_oracle_bound_mode_flag_gone_exit_2(self, tmp_path):
         inst_path = self.make_coptw(tmp_path)
@@ -219,6 +234,18 @@ class TestBenchCommand:
         assert len(lines) == 3
         bad_row = [ln for ln in lines if ln.startswith("zzz")]
         assert bad_row and ",,," in bad_row[0]
+
+    def test_nan_oracle_limit_exit_2(self, tmp_path):
+        # nan used to reach every row's search as a limit it never hit
+        indir = tmp_path / "in"
+        indir.mkdir()
+        (indir / "s100_1.txt").write_text(SOLOMON_SMALL)
+        csv_path = tmp_path / "out.csv"
+        argv = ["bench", str(indir), "-o", str(csv_path), "--sizes", "3", "--members", "2"]
+        assert main(argv + ["--oracle-limit", "nan"]) == 2
+        assert not csv_path.exists()
+        assert main(argv + ["--oracle-limit", "inf"]) == 0
+        assert csv_path.read_text().splitlines()[1].endswith(",true")
 
     def test_empty_directory_exit_2(self, tmp_path):
         indir = tmp_path / "empty"

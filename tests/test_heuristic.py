@@ -19,7 +19,7 @@ from coptw import (
     truncate,
 )
 from coptw import heuristic, savings
-from coptw.heuristic import _pool_size, _solve_one, _Workspace
+from coptw.heuristic import _pool_size, _Workspace
 from coptw.scheduling import TravelTimes
 
 from conftest import make_instance, random_instance
@@ -28,6 +28,31 @@ from conftest import make_instance, random_instance
 def prepared(inst):
     d = build_distance_matrix(inst)
     return d, build_arc_set(inst, d)
+
+
+def desk_row(data_dir, name="r100_1", n=11, team_size=4):
+    """A desk row as the benchmark builds it at requirement seed 1; the
+    default row has 14 distinct constructions and 6 distinct scores."""
+    raw = parse_benchmark((data_dir / f"{name}.txt").read_text())
+    return augment(truncate(raw, n), 1, 3, team_size=team_size)
+
+
+def routes_key(sol):
+    return tuple(map(tuple, sol.routes))
+
+
+def per_triplet(inst):
+    """construct + improve for every triplet, with nothing shared: the
+    one-phase grid that solve must reproduce.  Returns the (score,
+    solution) outcomes and the number of distinct constructions."""
+    d, arcs = prepared(inst)
+    outcomes, keys = [], set()
+    for params in parameter_grid():
+        built = construct(inst, arcs, d, params)
+        keys.add(routes_key(built))
+        sol = improve(inst, arcs, d, built)
+        outcomes.append((objective(inst, sol), sol))
+    return outcomes, len(keys)
 
 
 class TestConstruct:
@@ -247,8 +272,8 @@ class TestSolve:
         inst = random_instance(rng, 8, team_size=3)
         res = solve(inst)
         d, arcs = prepared(inst)
-        tt = TravelTimes(inst, d)
-        single, _ = _solve_one(inst, SavingParams(0.0, 0.0, 0.0), d, arcs, tt)
+        sol = improve(inst, arcs, d, construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0)))
+        single = objective(inst, sol)
         assert res.best_score >= single
         assert res.best_score == max(res.triplet_scores)
         assert res.triplet_scores[0] == single
@@ -265,14 +290,61 @@ class TestSolve:
         assert a.best_score == objective(inst, a.best_solution)
         assert check_solution(inst, a.best_solution).feasible
 
-    def test_parallel_equals_serial(self):
-        rng = random.Random(42)
-        inst = random_instance(rng, 7, team_size=3)
-        serial = solve(inst, workers=1)
-        parallel = solve(inst, workers=2)
-        assert serial.best_score == parallel.best_score
-        assert serial.best_solution == parallel.best_solution
-        assert serial.triplet_scores == parallel.triplet_scores
+    def assert_matches_per_triplet(self, inst):
+        outcomes, distinct = per_triplet(inst)
+        res = solve(inst)
+        scores = [score for score, _ in outcomes]
+        best = scores.index(max(scores))  # the earliest best triplet
+        assert res.triplet_scores == scores
+        assert res.best_score == scores[best]
+        assert res.best_params == parameter_grid()[best]
+        assert res.best_solution == outcomes[best][1]
+        return distinct
+
+    def test_equals_per_triplet_construct_and_improve(self):
+        rng = random.Random(61)
+        distinct = [
+            self.assert_matches_per_triplet(
+                random_instance(rng, rng.randint(3, 9), team_size=rng.randint(2, 4)))
+            for _ in range(6)
+        ]
+        assert min(distinct) < 54  # some constructions repeat
+
+    def test_equals_per_triplet_on_desk_row(self, data_dir):
+        assert self.assert_matches_per_triplet(desk_row(data_dir)) < 54
+
+    def test_improve_runs_once_per_distinct_construction(self, data_dir, monkeypatch):
+        inst = desk_row(data_dir)
+        built, improved = [], []
+
+        def counted_construct(*args):
+            sol = construct(*args)
+            built.append(routes_key(sol))
+            return sol
+
+        def counted_improve(instance, arcs, d, solution, tt=None):
+            improved.append(routes_key(solution))
+            return improve(instance, arcs, d, solution, tt)
+
+        monkeypatch.setattr(heuristic, "construct", counted_construct)
+        monkeypatch.setattr(heuristic, "improve", counted_improve)
+        solve(inst)
+        assert len(built) == 54
+        assert improved == list(dict.fromkeys(built))  # first-seen grid order
+        assert len(improved) < len(built)
+
+    def test_parallel_equals_serial(self, data_dir):
+        # the desk row repeats constructions, so the pool's second phase
+        # must map its improved results back onto the grid
+        for inst in (random_instance(random.Random(42), 7, team_size=3), desk_row(data_dir)):
+            d, arcs = prepared(inst)
+            assert len({routes_key(construct(inst, arcs, d, p)) for p in parameter_grid()}) < 54
+            serial = solve(inst, workers=1)
+            parallel = solve(inst, workers=2)
+            assert serial.best_score == parallel.best_score
+            assert serial.best_solution == parallel.best_solution
+            assert serial.best_params == parallel.best_params
+            assert serial.triplet_scores == parallel.triplet_scores
 
     def test_saving_terms_built_once_per_solve(self, monkeypatch):
         calls = {"solve": 0, "fallback": 0}

@@ -106,6 +106,10 @@ class TestExactSolve:
             OracleConfig(node_limit=0)
         with pytest.raises(ValueError):
             OracleConfig(time_limit=-1.0)
+        for limit in (float("nan"), 0.0, float("-inf")):
+            with pytest.raises(ValueError):
+                OracleConfig(time_limit=limit)
+        assert OracleConfig(time_limit=float("inf")).time_limit == float("inf")  # no limit
 
 
 class TestOptimalityGap:

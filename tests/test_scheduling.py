@@ -614,3 +614,13 @@ class TestSolutionText:
         inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=1, t_max=50.0)
         with pytest.raises(ParseError):
             parse_solution(f"{line}\nscore: 0.0\n", inst)
+
+    @pytest.mark.parametrize("scores", [["0.0", "5.0"], ["5.0", "5.0"], ["nan"], ["inf"],
+                                        ["-inf"], ["0.0", "nan"]])
+    def test_exactly_one_finite_score(self, scores):
+        # the last of several score lines used to be the claim, and nan or
+        # inf were accepted as claims
+        inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=2, t_max=50.0)
+        text = "member 1:\nmember 2:\n" + "".join(f"score: {v}\n" for v in scores)
+        with pytest.raises(ParseError):
+            parse_solution(text, inst)

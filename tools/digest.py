@@ -1,0 +1,67 @@
+"""Print one sha256 over the outputs of a benchmark workload.
+
+Two trees whose digests are equal gave the same outputs, so a change meant
+to keep every result can be checked against its parent:
+
+    python3 tools/digest.py --workload desk --req-seed 1
+
+Run it from the root of each checkout; it imports the coptw sources of the
+checkout it lives in.  The rows are the benchmark's own (``build`` and
+``ROWS`` of ``perfbench/run.py``), run once in row order in this process.
+A ``solve`` row (big, desk) contributes its ``triplet_scores``, best score,
+``best_params``, routes and served set; an ``exact_solve`` row (oracle)
+its score, routes, ``explored_nodes`` and whether it is proven, under the
+benchmark's time limit per row.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402  (perfbench/run.py puts this checkout's src/ on the path)
+
+from coptw import heuristic, oracle  # noqa: E402
+
+
+def record(workload: str, key: str, inst) -> dict:
+    if workload == "oracle":
+        result = oracle.exact_solve(inst, oracle.OracleConfig(time_limit=run.ORACLE_LIMIT))
+        return {
+            "row": key,
+            "score": result.best_score,
+            "routes": result.best_solution.routes,
+            "nodes": result.explored_nodes,
+            "proven": result.proven_optimal,
+        }
+    result = heuristic.solve(inst, workers=1)
+    return {
+        "row": key,
+        "triplet_scores": result.triplet_scores,
+        "score": result.best_score,
+        "params": dataclasses.astuple(result.best_params),
+        "routes": result.best_solution.routes,
+        "served": sorted(result.best_solution.served),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(run.ROWS), required=True)
+    parser.add_argument("--req-seed", type=int, default=1, help="requirement draw seed")
+    args = parser.parse_args(argv)
+    rows = run.build(args.workload, args.req_seed)
+    records = [record(args.workload, key, inst) for key, inst in rows]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    print(f"{digest}  {args.workload} req-seed {args.req_seed} ({len(rows)} rows)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
