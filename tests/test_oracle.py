@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from coptw import (
     solve,
 )
 from coptw.oracle import _Search
+from coptw.scheduling import TravelTimes
 
 from bruteforce import best_score_bruteforce
 from conftest import make_instance, random_instance
@@ -73,6 +75,91 @@ class TestExactSolve:
         res = exact_solve(inst)
         assert res.proven_optimal
         assert res.best_score == best_score_bruteforce(inst) == 4.0
+
+    def test_bound_counts_late_customer_only_for_unopened_routes(self):
+        # the open route's tail (customer 1, left at 10) reaches customer 2
+        # at 10 + sqrt(200) > 15, its close; a route from the depot gets
+        # there at 10
+        inst = make_instance(
+            [
+                (10.0, 0.0, 0.0, 6.0, 0.0, 100.0, 2),
+                (0.0, 10.0, 0.0, 5.0, 0.0, 15.0, 1),
+            ],
+            team_size=2,
+            t_max=100.0,
+        )
+        res = exact_solve(inst)
+        assert res.proven_optimal
+        assert res.best_score == best_score_bruteforce(inst) == 11.0
+
+        search = _Search(inst, OracleConfig())
+        search.routes = [[1]]
+        search.open_set = {1}
+        search.count[1] = 1
+        search.s[1] = 10.0
+        assert search._bound() == 11.0  # one unopened route: 2 still counts
+        search.routes = [[1], [1]]
+        search.count[1] = 2
+        search.score = 6.0
+        assert search._bound() == 6.0  # none left: 2 is dropped
+
+    def test_reach_cut_tolerates_rounding(self):
+        # a, b, c collinear; c closes at the float arrival a -> b -> c,
+        # which rounds below the direct a -> c arrival, so only the slack
+        # keeps c counted once a is the open route's tail.  b and c pay
+        # more than a and are tried first, so the incumbent b -> c (4)
+        # meets the bound of route [a] (3 without c) before a -> b -> c (5)
+        a = (9.7, 34.7)
+        b = (a[0] + 7.9, a[1] + 3.3)
+        c = (a[0] + 2 * 7.9, a[1] + 2 * 3.3)
+        rewards = (1.0, 2.0, 2.0)
+        draft = make_instance([(*p, 0.0, 1.0, 0.0, 1000.0, 1) for p in (a, b, c)],
+                              team_size=1, t_max=1000.0)
+        t = TravelTimes(draft).t
+        at_a = t[0][1]
+        at_b = at_a + t[1][2]
+        at_c = at_b + t[2][3]
+        assert at_c < at_a + t[1][3]
+        inst = make_instance(
+            [
+                (*p, 0.0, reward, 0.0, close, 1)
+                for p, reward, close in zip((a, b, c), rewards, (at_a, at_b, at_c))
+            ],
+            team_size=1,
+            t_max=1000.0,
+        )
+        res = exact_solve(inst)
+        assert res.proven_optimal
+        assert res.best_score == best_score_bruteforce(inst) == 5.0
+        assert res.best_solution.routes == [[1, 2, 3]]
+
+    def test_matches_bruteforce_with_tight_windows(self, monkeypatch):
+        # narrow windows make the open route's tail miss customers an
+        # unopened route could still serve, so the reach cut fires
+        bound = _Search._bound
+        fired = 0
+
+        def counting(search):
+            nonlocal fired
+            tight = bound(search)
+            reach_close = search.reach_close
+            search.reach_close = [math.inf] * len(reach_close)
+            loose = bound(search)
+            search.reach_close = reach_close
+            assert tight <= loose
+            fired += tight < loose
+            return tight
+
+        monkeypatch.setattr(_Search, "_bound", counting)
+        rng = random.Random(510)
+        for _ in range(40):
+            inst = random_instance(rng, rng.randint(4, 6), team_size=rng.randint(2, 3),
+                                   t_max=150.0, window=20.0)
+            res = exact_solve(inst)
+            assert res.proven_optimal
+            assert res.best_score == best_score_bruteforce(inst)
+            assert check_solution(inst, res.best_solution).feasible
+        assert fired > 0
 
     def test_incumbent_consistency(self):
         rng = random.Random(502)
