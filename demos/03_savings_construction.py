@@ -20,9 +20,11 @@ from coptw import (
     check_solution,
     construct,
     improve,
+    mean_customer_reward,
     objective,
     parameter_grid,
     parse_benchmark,
+    saving_value,
     solve,
     truncate,
 )
@@ -35,10 +37,14 @@ def main():
     inst = augment(truncate(raw, 16), seed=2, r_max=3, team_size=3)
     d = build_distance_matrix(inst)
     arcs = build_arc_set(inst, d)
+    d_max, gamma_bar = float(d.max()), mean_customer_reward(inst)
 
     for params in (SavingParams(0.0, 0.0, 0.0), SavingParams(1.4, 0.7, 3.5)):
+        # the pair list is an order only; saving_value gives each pair's value
         pairs = calc_saving_pairs(inst, d, arcs, params)
-        top = ", ".join(f"({p.i},{p.j})={p.value:.2f}" for p in pairs[:4])
+        top = ", ".join(
+            f"({i},{j})={saving_value(i, j, inst, d, params, d_max, gamma_bar):.2f}"
+            for i, j in pairs[:4])
         print(f"{params}: {len(pairs)} feasible pairs, top: {top}")
 
     print("\none trajectory, step by step:")

@@ -28,7 +28,6 @@ from .instances import (
 )
 from .oracle import OracleConfig, OracleResult, exact_solve, optimality_gap
 from .savings import (
-    SavingPair,
     SavingParams,
     calc_saving_pairs,
     mean_customer_reward,
@@ -58,7 +57,6 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "RawInstance",
-    "SavingPair",
     "SavingParams",
     "Schedule",
     "ScheduleInfeasible",

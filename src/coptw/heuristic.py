@@ -67,7 +67,6 @@ class _Workspace:
         self.team_size = instance.team_size
         self.routes: list[list[int]] = [[] for _ in range(instance.team_size)]
         self.count = [0] * instance.n_vertices
-        self.served: set[int] = set()
         self.s = list(self.tt.open)
         self.version = 0
         self.fail_version = [-1] * instance.n_vertices
@@ -78,7 +77,6 @@ class _Workspace:
         ws = cls(instance, arcs, d, tt)
         ws.routes = [list(route) for route in solution.routes]
         ws.count = solution.visit_counts(instance.n_vertices)
-        ws.served = set(solution.served)
         status, s, _, _ = relax_starts(ws.tt, ws.routes)
         if status != "ok":
             raise ValueError(f"input solution has no feasible schedule: {status}")
@@ -86,21 +84,17 @@ class _Workspace:
         return ws
 
     def to_solution(self) -> Solution:
-        return Solution(routes=[list(r) for r in self.routes], served=set(self.served))
+        req = self.tt.req
+        return Solution(routes=[list(r) for r in self.routes],
+                        served={v for v in range(1, self.tt.n) if self.count[v] >= req[v]})
 
     def snapshot(self):
-        return (
-            [list(r) for r in self.routes],
-            list(self.count),
-            set(self.served),
-            list(self.s),
-        )
+        return [list(r) for r in self.routes], list(self.count), list(self.s)
 
     def restore(self, snap) -> None:
-        routes, count, served, s = snap
+        routes, count, s = snap
         self.routes = [list(r) for r in routes]
         self.count = list(count)
-        self.served = set(served)
         self.s = list(s)
         self.version += 1  # invalidate failure caches
 
@@ -170,8 +164,6 @@ class _Workspace:
         self.count[v] += 1
         self.s = s_new
         self.version += 1
-        if self.count[v] >= self.tt.req[v]:
-            self.served.add(v)
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v: route ends first, then interiors."""
@@ -205,7 +197,6 @@ class _Workspace:
             route[:] = [v for v in route if v not in doomed]
         for v in doomed:
             self.count[v] = 0
-            self.served.discard(v)
         status, s, _, _ = relax_starts(self.tt, self.routes)
         if status != "ok":
             raise AssertionError("removal must never break a feasible schedule")
@@ -267,14 +258,13 @@ def construct(
     saving_terms(instance, d, arcs), which solve builds once for all triplets.
     """
     ws = _Workspace(instance, arcs, d, tt)
-    for pair in calc_saving_pairs(instance, d, arcs, params, terms):
-        ws.top_up(pair.i)
-        ws.top_up(pair.j)
+    for i, j in calc_saving_pairs(instance, d, arcs, params, terms):
+        ws.top_up(i)
+        ws.top_up(j)
     # vertices in no feasible pair (isolated but depot-reachable customers,
     # or a lone customer) still deserve an attempt
     for v in sorted(range(1, ws.tt.n), key=lambda u: (-ws.tt.reward[u], u)):
-        if v not in ws.served:
-            ws.top_up(v)
+        ws.top_up(v)
     ws.remove_underserved()
     return ws.to_solution()
 
@@ -292,9 +282,10 @@ def improve(
     at the cheapest arc-valid slots and committed only if that breaks
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome restores the routes,
-    so the returned score never drops below the input score.  `tt` is as
-    for construct.  An input with a late start, a late return or a circular
-    wait raises ValueError.
+    so the returned score never drops below the input score.  The result's
+    served set comes from the visit counts: a vertex is served when all its
+    required members visit it.  `tt` is as for construct.  An input with a
+    late start, a late return or a circular wait raises ValueError.
     """
     ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
     tt = ws.tt
@@ -318,7 +309,6 @@ def improve(
         status, s_new, returns, _ = relax_starts(tt, ws.routes)
         broken = late(tt, ws.routes, s_new, returns)[0] if status == "window" else []
         if status == "ok":
-            ws.served.add(v)
             ws.s = s_new
             ws.version += 1
         elif len(broken) == 1 and broken[0] != v and tt.reward[broken[0]] <= tt.reward[v]:
@@ -328,8 +318,6 @@ def improve(
             status2, s2, _, _ = relax_starts(tt, ws.routes)
             if status2 == "ok" and next(bad_arcs(ws.feas, ws.routes), None) is None:
                 ws.count[j] = 0
-                ws.served.discard(j)
-                ws.served.add(v)
                 ws.s = s2
                 ws.version += 1
             else:

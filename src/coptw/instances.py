@@ -61,8 +61,6 @@ class RawInstance:
 
     def __post_init__(self):
         _validate_vertices(self.vertices)
-        if not self.vertices:
-            raise ValidationError("instance has no depot vertex")
 
     @property
     def n_customers(self) -> int:
@@ -89,7 +87,7 @@ class Instance:
         _validate_vertices(self.vertices)
         if len(self.requirements) != len(self.vertices):
             raise ValidationError("one requirement per vertex expected")
-        if self.requirements and self.requirements[0] != 0:
+        if self.requirements[0] != 0:
             raise ValidationError("depot requirement must be 0")
         if any(r < 1 for r in self.requirements[1:]):
             raise ValidationError("customer requirements must be at least 1")
@@ -119,6 +117,8 @@ class Instance:
 
 
 def _validate_vertices(vertices: list[Vertex]) -> None:
+    if not vertices:
+        raise ValidationError("instance has no depot vertex")
     for v in vertices:
         for field in ("x", "y", "duration", "reward", "open", "close"):
             value = getattr(v, field)

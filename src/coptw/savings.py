@@ -1,4 +1,4 @@
-"""Saving values and the sorted saving-pair list that drives construction.
+"""Saving values and the saving order of customer pairs that drives construction.
 
 The saving of an ordered customer pair (i, j) combines three terms: the
 classical Clarke-Wright distance saving d_i0 + d_0j - lambda*d_ij normalized
@@ -18,14 +18,14 @@ asymmetric: S(i, j) != S(j, i) in general.
 
 Only the coefficients differ between triplets, so saving_terms evaluates
 everything else once per solve as numpy arrays over the arc-feasible pairs.
-calc_saving_pairs then ranks one triplet in numpy, keeping saving_value's
-float order so both agree bit for bit and equal values keep their tie order.
+calc_saving_pairs then ranks one triplet in numpy and returns only the order
+of the pairs; it keeps saving_value's float order, so sorting by saving_value
+gives the same order and equal values keep their tie order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -43,12 +43,6 @@ class SavingParams:
     lambda_: float
     mu: float
     vartheta: float
-
-
-class SavingPair(NamedTuple):
-    i: int
-    j: int
-    value: float
 
 
 def parameter_grid() -> list[SavingParams]:
@@ -139,13 +133,14 @@ def calc_saving_pairs(
     arcs: ArcSet,
     params: SavingParams,
     terms: SavingTerms | None = None,
-) -> list[SavingPair]:
-    """All arc-feasible ordered customer pairs, best saving first.
+) -> list[tuple[int, int]]:
+    """All arc-feasible ordered customer pairs (i, j), best saving first.
 
     A pair enters the list when the arc (i, j) is traversable: a member can
     leave i at its earliest service completion and reach j's window, and j
-    still allows returning to the depot by the horizon.  Ties are broken by
-    (i, j) index so the list is a total, reproducible order.  `terms`, when
+    still allows returning to the depot by the horizon.  Only the order is
+    returned; saving_value gives a pair's value.  Ties are broken by (i, j)
+    index so the list is a total, reproducible order.  `terms`, when
     given, must be saving_terms(instance, d, arcs); solve builds it once.
     """
     t = saving_terms(instance, d, arcs) if terms is None else terms
@@ -154,7 +149,5 @@ def calc_saving_pairs(
         (t.base0 - params.lambda_ * t.d_ij) / t.d_max
         + params.mu * t.cos * t.spread / t.d_max
     ) + params.vartheta * t.rsum / t.gamma_bar
-    # stable: ties keep the (i, j) order; tuple.__new__ skips a Python-level call
-    order = np.argsort(-value, kind="stable")
-    return list(map(tuple.__new__, repeat(SavingPair), zip(
-        t.i[order].tolist(), t.j[order].tolist(), value[order].tolist())))
+    order = np.argsort(-value, kind="stable")  # stable: ties keep the (i, j) order
+    return list(zip(t.i[order].tolist(), t.j[order].tolist()))

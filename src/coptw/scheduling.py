@@ -36,17 +36,6 @@ import numpy as np
 from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance, ParseError
 
-CONSTRAINT_FAMILIES = (
-    "depot-flow",
-    "conservation",
-    "requirement",
-    "window-close",
-    "horizon",
-    "deadlock",
-    "arc-feasibility",
-)
-
-
 @dataclass
 class Solution:
     """One route per team member plus the served-vertex set."""

@@ -129,6 +129,13 @@ class TestSolveVerifyOracle:
             assert main(["augment", str(src), "-o", str(tmp_path / "v.coptw"),
                          "-V", velocity]) == 2
 
+    def test_no_vertices_exit_2(self, tmp_path):
+        inst_path = tmp_path / "empty.coptw"
+        inst_path.write_text("COPTW 1\n0 3 100 1\n")
+        assert main(["solve", str(inst_path)]) == 2
+        assert not inst_path.with_suffix(".sol").exists()
+        assert main(["oracle", str(inst_path)]) == 2
+
     def test_member_line_without_colon_exit_2(self, tmp_path):
         inst_path = self.make_coptw(tmp_path)
         sol_path = tmp_path / "inst.sol"

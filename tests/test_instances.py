@@ -180,6 +180,11 @@ class TestCoptwFormat:
         with pytest.raises(ParseError, match="requirement column"):
             read_coptw(text)
 
+    def test_no_vertices_rejected(self):
+        # used to escape as an IndexError on the missing depot
+        with pytest.raises(ValidationError, match="no depot vertex"):
+            read_coptw("COPTW 1\n0 3 100 1\n")
+
     def test_version_mismatch(self):
         with pytest.raises(ParseError, match="COPTW 1"):
             read_coptw("COPTW 2\n1 1 10.0 1.0\n0 0 0 0 0 0 10.0 0\n")

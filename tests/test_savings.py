@@ -126,8 +126,7 @@ class TestSavingValue:
         arcs = build_arc_set(inst, d)
         orders = []
         for vth in (0.0, 2.1, 3.5):
-            pairs = calc_saving_pairs(inst, d, arcs, SavingParams(0.7, 0.7, vth))
-            orders.append([(p.i, p.j) for p in pairs])
+            orders.append(calc_saving_pairs(inst, d, arcs, SavingParams(0.7, 0.7, vth)))
         assert orders[0] == orders[1] == orders[2]
 
 
@@ -143,9 +142,10 @@ class TestCalcSavingPairs:
             t_max=1000.0,
         )
         d = build_distance_matrix(inst)
-        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), SavingParams(0.7, 0.7, 0.7))
+        params = SavingParams(0.7, 0.7, 0.7)
+        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), params)
         assert len(pairs) == 6  # n(n-1) ordered pairs
-        values = [p.value for p in pairs]
+        values = [saving_value(i, j, inst, d, params, float(d.max()), 6.0) for i, j in pairs]
         assert values == sorted(values, reverse=True)
 
     def test_unreachable_customer_in_no_pair(self):
@@ -160,7 +160,7 @@ class TestCalcSavingPairs:
         )
         d = build_distance_matrix(inst)
         pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), SavingParams(0.0, 0.0, 0.0))
-        assert all(3 not in (p.i, p.j) for p in pairs)
+        assert all(3 not in pair for pair in pairs)
         assert len(pairs) == 2
 
     def test_matches_bruteforce_enumeration(self):
@@ -187,8 +187,7 @@ class TestCalcSavingPairs:
                         (i, j, saving_value(i, j, inst, d, params, d_max, gamma_bar))
                     )
         expected.sort(key=lambda p: (-p[2], p[0], p[1]))
-        got = [(p.i, p.j, p.value) for p in calc_saving_pairs(inst, d, arcs, params)]
-        assert got == expected
+        assert calc_saving_pairs(inst, d, arcs, params) == [(i, j) for i, j, _ in expected]
 
     def test_tie_break_is_index_order(self):
         # four customers at symmetric points produce equal savings
@@ -203,8 +202,11 @@ class TestCalcSavingPairs:
             t_max=1000.0,
         )
         d = build_distance_matrix(inst)
-        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), SavingParams(0.0, 0.0, 0.0))
-        same_value = [(p.i, p.j) for p in pairs if p.value == pairs[0].value]
+        params = SavingParams(0.0, 0.0, 0.0)
+        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), params)
+        values = [saving_value(i, j, inst, d, params, float(d.max()), 10.0) for i, j in pairs]
+        same_value = [pair for pair, value in zip(pairs, values) if value == values[0]]
+        assert len(same_value) > 1
         assert same_value == sorted(same_value)
 
 
@@ -255,7 +257,7 @@ class TestRankingDifferential:
             )
             got = calc_saving_pairs(inst, d, arcs, params, terms)
             # floats compared with ==: equal values decide the tie order
-            assert [(p.i, p.j, p.value) for p in got] == expected
+            assert [(i, j) for i, j, _ in expected] == got
             assert calc_saving_pairs(inst, d, arcs, params) == got
 
 
