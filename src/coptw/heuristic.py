@@ -30,7 +30,6 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -52,11 +51,17 @@ class SolverResult:
 
 
 class _Workspace:
-    """Mutable routes, visit counts and the current start-time fixed point.
+    """Mutable routes, visit counts, a member index and the current
+    start-time fixed point.
 
-    `version` increments on every committed change; per-vertex failure
-    versions let the pair loop skip re-attempting a vertex that already
-    failed against the identical route state.
+    `links[x]` is the member index insert_starts reads: one
+    `[m, pred, succ]` entry per route m that visits x, in ascending m, with
+    0 for the depot.  `from_solution` builds it from the routes; `_commit`,
+    `force_place` and `drop` keep it in step at O(req) per visit.  `s` is replaced, never changed in place, so a move
+    can keep the old list to undo itself.  `version` increments on every
+    committed change; per-vertex failure versions let the pair loop skip
+    re-attempting a vertex that already failed against the identical route
+    state.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
@@ -66,6 +71,7 @@ class _Workspace:
         self.dist = d.tolist()
         self.team_size = instance.team_size
         self.routes: list[list[int]] = [[] for _ in range(instance.team_size)]
+        self.links: list[list[list[int]]] = [[] for _ in range(instance.n_vertices)]
         self.count = [0] * instance.n_vertices
         self.s = list(self.tt.open)
         self.version = 0
@@ -81,6 +87,7 @@ class _Workspace:
         if status != "ok":
             raise ValueError(f"input solution has no feasible schedule: {status}")
         ws.s = s
+        ws._index()
         return ws
 
     def to_solution(self) -> Solution:
@@ -88,14 +95,62 @@ class _Workspace:
         return Solution(routes=[list(r) for r in self.routes],
                         served={v for v in range(1, self.tt.n) if self.count[v] >= req[v]})
 
-    def snapshot(self):
-        return [list(r) for r in self.routes], list(self.count), list(self.s)
+    # -- the member index -----------------------------------------------------
 
-    def restore(self, snap) -> None:
-        routes, count, s = snap
-        self.routes = [list(r) for r in routes]
-        self.count = list(count)
-        self.s = list(s)
+    def _index(self) -> None:
+        links = [[] for _ in range(self.tt.n)]
+        for m, route in enumerate(self.routes):
+            for u, x, w in zip([0, *route], route, [*route[1:], 0]):
+                links[x].append([m, u, w])
+        self.links = links
+
+    def _relink(self, m: int, u: int, w: int) -> None:
+        """Make w follow u on route m in the index (0 is the depot)."""
+        if u:
+            for entry in self.links[u]:
+                if entry[0] == m:
+                    entry[2] = w
+                    break
+        if w:
+            for entry in self.links[w]:
+                if entry[0] == m:
+                    entry[1] = u
+                    break
+
+    def _link(self, m: int, pos: int, v: int) -> None:
+        """Index v as the visit before routes[m][pos]; the route is not
+        changed."""
+        route = self.routes[m]
+        u = route[pos - 1] if pos else 0
+        w = route[pos] if pos < len(route) else 0
+        entries = self.links[v]
+        i = 0
+        while i < len(entries) and entries[i][0] < m:
+            i += 1
+        entries.insert(i, [m, u, w])
+        self._relink(m, u, v)
+        self._relink(m, v, w)
+
+    def _unlink(self, m: int, v: int) -> None:
+        entries = self.links[v]
+        for i, (k, u, w) in enumerate(entries):
+            if k == m:
+                del entries[i]
+                self._relink(m, u, w)
+                return
+
+    def _place(self, m: int, pos: int, v: int) -> None:
+        self._link(m, pos, v)
+        self.routes[m].insert(pos, v)
+        self.count[v] += 1
+
+    def drop(self, v: int) -> None:
+        """Remove every visit of v.  The caller sets the starts."""
+        for m, u, w in self.links[v]:
+            self.routes[m].remove(v)
+            self._relink(m, u, w)
+        self.links[v] = []
+        self.count[v] = 0
         self.version += 1  # invalidate failure caches
 
     # -- candidate generation -------------------------------------------------
@@ -123,8 +178,9 @@ class _Workspace:
         dist_v = dist[v]
         slots = []
         empty_seen = False
+        taken = {m for m, _, _ in self.links[v]}
         for m, route in enumerate(self.routes):
-            if v in route:
+            if m in taken:
                 continue
             n = len(route)
             if not ends:
@@ -153,15 +209,13 @@ class _Workspace:
     # -- feasibility-gated insertion ------------------------------------------
 
     def _try_slot(self, m: int, pos: int, v: int) -> list[float] | None:
-        route = self.routes[m]
-        route.insert(pos, v)
-        s_new = insert_starts(self.tt, self.routes, self.s, m, pos)
-        route.pop(pos)
+        self._link(m, pos, v)
+        s_new = insert_starts(self.tt, self.links, self.s, v)
+        self._unlink(m, v)
         return s_new
 
     def _commit(self, m: int, pos: int, v: int, s_new: list[float]) -> None:
-        self.routes[m].insert(pos, v)
-        self.count[v] += 1
+        self._place(m, pos, v)
         self.s = s_new
         self.version += 1
 
@@ -193,15 +247,12 @@ class _Workspace:
     def remove_vertices(self, doomed: set[int]) -> None:
         if not doomed:
             return
-        for route in self.routes:
-            route[:] = [v for v in route if v not in doomed]
         for v in doomed:
-            self.count[v] = 0
+            self.drop(v)
         status, s, _, _ = relax_starts(self.tt, self.routes)
         if status != "ok":
             raise AssertionError("removal must never break a feasible schedule")
         self.s = s
-        self.version += 1
 
     def remove_underserved(self) -> None:
         doomed = {
@@ -211,33 +262,69 @@ class _Workspace:
         }
         self.remove_vertices(doomed)
 
-    # -- schedule-blind placement for the substitution move -------------------
+    # -- the substitution move ------------------------------------------------
 
     def force_place(self, v: int) -> bool:
         """Insert all of v's member visits at the cheapest arc-valid slots,
         ignoring the schedule.  Returns False when the routes cannot host
-        them at all (caller restores)."""
+        them at all (caller drops v)."""
         r = self.tt.req[v]
+        feas = self.feas
+        feas_v = feas[v]
+        dist = self.dist
+        dist_v = dist[v]
         for _ in range(r):
             best = None
-            dist = self.dist
+            taken = {m for m, _, _ in self.links[v]}
             for m, route in enumerate(self.routes):
-                if v in route:
+                if m in taken:
                     continue
-                for pos in range(len(route) + 1):
-                    u = 0 if pos == 0 else route[pos - 1]
-                    w = 0 if pos == len(route) else route[pos]
-                    if not self.feas[u][v] or not self.feas[v][w]:
-                        continue
-                    delta = dist[u][v] + dist[v][w] - dist[u][w]
-                    if best is None or (delta, m, pos) < best:
-                        best = (delta, m, pos)
+                u = 0
+                for pos, w in enumerate([*route, 0]):
+                    # positions come in ascending (m, pos), so the first
+                    # cheapest one wins ties
+                    if feas[u][v] and feas_v[w]:
+                        delta = dist[u][v] + dist_v[w] - dist[u][w]
+                        if best is None or delta < best[0]:
+                            best = (delta, m, pos)
+                    u = w
             if best is None:
                 return False
             _, m, pos = best
-            self.routes[m].insert(pos, v)
-            self.count[v] += 1
+            self._place(m, pos, v)
         return True
+
+    def substitute(self, v: int) -> None:
+        """One improvement move for an unvisited v on a complete, feasible
+        solution: insert v outright, or trade it for the one served vertex
+        its schedule-blind placement breaks if that one is worth no more.
+        Any other outcome drops v again and keeps the old starts, which
+        are the fixed point of the unchanged routes."""
+        tt = self.tt
+        s = self.s
+        if self.top_up(v):
+            return
+        self.drop(v)
+        self.s = s
+        if not self.force_place(v):
+            self.drop(v)
+            return
+        status, s_new, returns, _ = relax_starts(tt, self.routes)
+        if status == "ok":
+            self.s = s_new
+            self.version += 1
+            return
+        broken = late(tt, self.routes, s_new, returns)[0] if status == "window" else []
+        if len(broken) == 1 and broken[0] != v and tt.reward[broken[0]] <= tt.reward[v]:
+            j = broken[0]
+            rest = [[u for u in route if u != j] for route in self.routes]
+            status, s_new, _, _ = relax_starts(tt, rest)
+            if status == "ok" and next(bad_arcs(self.feas, rest), None) is None:
+                self.drop(j)
+                self.s = s_new
+                return
+        self.drop(v)
+        self.s = s
 
 
 def construct(
@@ -281,11 +368,12 @@ def improve(
     Each vertex is inserted outright when possible; otherwise it is placed
     at the cheapest arc-valid slots and committed only if that breaks
     exactly one served vertex worth no more than the newcomer (which is then
-    removed: a one-for-one trade).  Every other outcome restores the routes,
-    so the returned score never drops below the input score.  The result's
-    served set comes from the visit counts: a vertex is served when all its
-    required members visit it.  `tt` is as for construct.  An input with a
-    late start, a late return or a circular wait raises ValueError.
+    removed: a one-for-one trade).  Every other outcome undoes the move
+    (`_Workspace.substitute`), so the returned score never drops below the
+    input score.  The result's served set comes from the visit counts: a
+    vertex is served when all its required members visit it.  `tt` is as
+    for construct.  An input with a late start, a late return or a circular
+    wait raises ValueError.
     """
     ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
     tt = ws.tt
@@ -298,32 +386,7 @@ def improve(
         key=lambda v: (-tt.reward[v], v),
     )
     for v in order:
-        snap = ws.snapshot()
-        if ws.top_up(v):
-            continue
-        ws.restore(snap)
-
-        if not ws.force_place(v):
-            ws.restore(snap)
-            continue
-        status, s_new, returns, _ = relax_starts(tt, ws.routes)
-        broken = late(tt, ws.routes, s_new, returns)[0] if status == "window" else []
-        if status == "ok":
-            ws.s = s_new
-            ws.version += 1
-        elif len(broken) == 1 and broken[0] != v and tt.reward[broken[0]] <= tt.reward[v]:
-            j = broken[0]
-            for route in ws.routes:
-                route[:] = [u for u in route if u != j]
-            status2, s2, _, _ = relax_starts(tt, ws.routes)
-            if status2 == "ok" and next(bad_arcs(ws.feas, ws.routes), None) is None:
-                ws.count[j] = 0
-                ws.s = s2
-                ws.version += 1
-            else:
-                ws.restore(snap)
-        else:
-            ws.restore(snap)
+        ws.substitute(v)
     return ws.to_solution()
 
 
@@ -331,6 +394,28 @@ def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes for `tasks` independent jobs: never more than the
     jobs or the machine's CPUs, since the pool starts every worker at once."""
     return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
+# What every construct and improve call of one solve shares: (instance,
+# arcs, d, tt, terms).  A pool's initializer sets it once in each worker, so
+# it is shipped once per worker instead of once per task; a serial solve
+# sets it in the calling process for the length of its loop.
+_shared: tuple = ()
+
+
+def _share(*state) -> None:
+    global _shared
+    _shared = state
+
+
+def _construct_one(params: SavingParams) -> Solution:
+    instance, arcs, d, tt, terms = _shared
+    return construct(instance, arcs, d, params, tt, terms)
+
+
+def _improve_one(solution: Solution) -> Solution:
+    instance, arcs, d, tt, _ = _shared
+    return improve(instance, arcs, d, solution, tt)
 
 
 def solve(instance: Instance, workers: int = 1) -> SolverResult:
@@ -346,31 +431,34 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
     earliest triplet wins ties.  With `workers` above 1 both phases run on
     one process pool, which changes nothing but the wall time.  The
     distances, arcs, travel times and saving terms are built once and
-    shared by every call."""
+    shared by every call; a pool receives them once per worker, through
+    its initializer, and each task carries only its triplet or
+    construction."""
     t0 = time.perf_counter()
     grid = parameter_grid()
     d = build_distance_matrix(instance)
     arcs = build_arc_set(instance, d)
-    tt = TravelTimes(instance, d)
-    terms = saving_terms(instance, d, arcs)
+    state = (instance, arcs, d, TravelTimes(instance, d), saving_terms(instance, d, arcs))
     processes = _pool_size(workers, len(grid))
     with contextlib.ExitStack() as stack:
         if processes == 1:
+            stack.callback(_share, *_shared)
+            _share(*state)
             run = map
         else:
             # imported only here: the process machinery adds ~30 ms to every
             # import of the package, and serial solves never use it
             from concurrent.futures import ProcessPoolExecutor
 
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map
-        built = list(run(construct, repeat(instance), repeat(arcs), repeat(d), grid,
-                         repeat(tt), repeat(terms)))
+            pool = ProcessPoolExecutor(max_workers=processes, initializer=_share,
+                                       initargs=state)
+            run = stack.enter_context(pool).map
+        built = list(run(_construct_one, grid))
         keys = [tuple(map(tuple, sol.routes)) for sol in built]
         distinct: dict[tuple, Solution] = {}  # routes -> construction, first seen first
         for key, sol in zip(keys, built):
             distinct.setdefault(key, sol)
-        improved = run(improve, repeat(instance), repeat(arcs), repeat(d), distinct.values(),
-                       repeat(tt))
+        improved = run(_improve_one, distinct.values())
         results = {key: (objective(instance, sol), sol) for key, sol in zip(distinct, improved)}
     outcomes = [results[key] for key in keys]
     best_idx = 0

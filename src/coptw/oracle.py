@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance
-from .scheduling import Solution, TravelTimes, insert_starts, relax_starts
+from .scheduling import RouteScan, Solution, TravelTimes, insert_starts, relax_starts
 
 
 @dataclass
@@ -105,6 +105,7 @@ class _Search:
         self.reach_close = [c + slack for c in self.tt.close]
 
         self.routes: list[list[int]] = [[]]
+        self.links = RouteScan(self.routes)  # routes change in place only
         self.open_set: set[int] = set()
         self.count = [0] * n
         self.score = 0.0
@@ -210,7 +211,7 @@ class _Search:
                 s_save = None
             else:
                 open_route.append(v)
-                s_new = insert_starts(tt, self.routes, self.s, len(self.routes) - 1, depth)
+                s_new = insert_starts(tt, self.links, self.s, v)
                 feasible = s_new is not None
                 if feasible:
                     s_save = self.s

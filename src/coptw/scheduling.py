@@ -20,9 +20,14 @@ insert_starts answers the searches' one hot question: does inserting one
 visit into a feasible routing keep it feasible, and what are the new
 starts?  It propagates forward from the inserted visit only, over the
 route successors of every changed start, and stops at the first window or
-horizon breach.  Every cycle
-the insertion creates passes through the new visit, so a second rise of
-that visit's start reveals a circular wait at once.
+horizon breach.  Every cycle the insertion creates passes through the new
+visit, so a second rise of that visit's start reveals a circular wait at
+once.  It reads the routing through a member index, `links[x]`: one
+`[m, pred, succ]` entry per route m that visits x, in ascending m, with 0
+for the depot, so a visit's neighbours cost O(1) to find.  The caller
+links the tentative visit in before the call and out after it.  The
+heuristic keeps such an index up to date; the exact search passes a
+RouteScan, which reads the same entries off its short routes on lookup.
 """
 
 from __future__ import annotations
@@ -170,33 +175,38 @@ def relax_starts(tt: TravelTimes,
 
 def insert_starts(
     tt: TravelTimes,
-    routes: list[list[int]],
+    links,
     s: list[float],
-    m: int,
-    pos: int,
+    v: int,
 ) -> list[float] | None:
-    """Fixed-point starts after the visit routes[m][pos] was inserted.
+    """Fixed-point starts after one visit of v was linked into a routing.
 
-    `s` must be the fixed point of the routes without that visit, with every
-    unvisited vertex at its opening time.  A work list seeded with the new
-    visit recomputes each popped start exactly as relax_starts does, the
-    maximum of its opening and every member's arrival, and only a changed
-    start queues the vertex's successors on every route.  A start is
-    recomputed, never raised to max(old, new): replacing an arc u -> w by
-    u -> v -> w can lower w's arrival by one rounding step.  The result is
-    therefore the starts of relax_starts(tt, routes) bit for bit.
+    `links[x]` lists x's visits as `[m, pred, succ]` entries, one per route
+    m that visits x, in ascending m, with 0 standing for the depot on either
+    side.  The caller links the new visit in before the call (its own entry
+    in links[v], and its neighbours' succ and pred pointing at v) and
+    unlinks it afterwards if it is not kept.  `s` must be the fixed point of
+    the routing without that visit, with every unvisited vertex at its
+    opening time.
+
+    A work list seeded with v recomputes each popped start exactly as
+    relax_starts does, the maximum of its opening and every member's
+    arrival, and only a changed start queues the vertex's successors.  A
+    start is recomputed, never raised to max(old, new): replacing an arc
+    u -> w by u -> v -> w can lower w's arrival by one rounding step.  The
+    result is therefore the starts of relax_starts over the linked routing
+    bit for bit.
 
     Returns None at the first start past its window or return past the
-    horizon, and when the inserted visit's start would rise a second time:
-    the routing without it had a finite fixed point, so every new cycle
-    passes through the visit and a second rise means a circular wait.
+    horizon, and when v's start would rise a second time: the routing
+    without the new visit had a finite fixed point, so every new cycle
+    passes through it and a second rise means a circular wait.
     """
     t = tt.t
     dur = tt.dur
     opens = tt.open
     close = tt.close
     t_max = tt.t_max
-    v = routes[m][pos]
     s = list(s)
     work = deque((v,))
     queued = {v}
@@ -205,19 +215,11 @@ def insert_starts(
         x = work.popleft()
         queued.discard(x)
         start = opens[x]
-        nexts = []
-        for route in routes:
-            if x in route:
-                i = route.index(x)
-                if i:
-                    u = route[i - 1]
-                    arr = s[u] + dur[u] + t[u][x]
-                else:
-                    arr = t[0][x]
-                if arr > start:
-                    start = arr
-                i += 1
-                nexts.append(route[i] if i < len(route) else 0)
+        entries = links[x]
+        for _, u, _ in entries:
+            arr = s[u] + dur[u] + t[u][x] if u else t[0][x]
+            if arr > start:
+                start = arr
         if x == v and fresh:
             fresh = False
         elif start == s[x]:
@@ -228,7 +230,7 @@ def insert_starts(
             return None
         s[x] = start
         depart = start + dur[x]
-        for w in nexts:
+        for _, _, w in entries:
             if not w:
                 if depart + t[x][0] > t_max:
                     return None
@@ -236,6 +238,26 @@ def insert_starts(
                 queued.add(w)
                 work.append(w)
     return s
+
+
+class RouteScan:
+    """The links of insert_starts read off plain routes on every lookup:
+    `RouteScan(routes)[x]` scans each route for x.  Cheaper than keeping an
+    index up to date where the routes are short and change at every step."""
+
+    __slots__ = ("routes",)
+
+    def __init__(self, routes: list[list[int]]):
+        self.routes = routes
+
+    def __getitem__(self, x: int) -> list[list[int]]:
+        entries = []
+        for m, route in enumerate(self.routes):
+            if x in route:
+                i = route.index(x)
+                entries.append([m, route[i - 1] if i else 0,
+                                route[i + 1] if i + 1 < len(route) else 0])
+        return entries
 
 
 def _structurally_valid(instance: Instance, solution: Solution) -> bool:

@@ -20,7 +20,7 @@ from coptw import (
 )
 from coptw import heuristic, savings
 from coptw.heuristic import _pool_size, _Workspace
-from coptw.scheduling import TravelTimes
+from coptw.scheduling import RouteScan, TravelTimes
 
 from conftest import make_instance, random_instance
 
@@ -105,9 +105,9 @@ class TestConstruct:
         rng = random.Random(123)
         inst = random_instance(rng, 8, team_size=3)
         d, arcs = prepared(inst)
-        calls = {"commit": 0, "snapshot": 0}
+        calls = {"commit": 0, "substitute": 0}
         commit = _Workspace._commit
-        snapshot = _Workspace.snapshot
+        substitute = _Workspace.substitute
 
         def checked_commit(ws, m, pos, v, s_new):
             # mid-construction, a visited vertex may still be short of its
@@ -125,19 +125,72 @@ class TestConstruct:
             ]
             assert rest == [], rest
 
-        def checked_snapshot(ws):
-            # improve snapshots a complete solution before every move
-            calls["snapshot"] += 1
+        def checked_substitute(ws, v):
+            # improve starts every move from a complete, feasible solution
+            calls["substitute"] += 1
             report = check_solution(inst, ws.to_solution())
             assert report.feasible, report.violations
-            return snapshot(ws)
+            return substitute(ws, v)
 
         monkeypatch.setattr(_Workspace, "_commit", checked_commit)
-        monkeypatch.setattr(_Workspace, "snapshot", checked_snapshot)
+        monkeypatch.setattr(_Workspace, "substitute", checked_substitute)
         sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1))
         sol = improve(inst, arcs, d, sol)
-        assert calls["commit"] > 0 and calls["snapshot"] > 0
+        assert calls["commit"] > 0 and calls["substitute"] > 0
         assert check_solution(inst, sol).feasible
+
+    def test_member_index_follows_the_routes(self, monkeypatch):
+        # after every change to the routes, links must equal the index read
+        # off the routes afresh: [m, pred, succ] per visit, ascending m
+        seen = {"_commit": 0, "undo": 0, "trade": 0, "force_place": 0, "from_solution": 0,
+                "remove_vertices": 0}
+        moving = []  # the vertex of the substitution move in progress
+
+        def check(ws):
+            scan = RouteScan(ws.routes)
+            assert ws.links == [scan[x] for x in range(ws.tt.n)]
+            assert ws.count == Solution(ws.routes).visit_counts(ws.tt.n)
+
+        def checked(name, fn, key=None):
+            def wrapper(ws, *args):
+                result = fn(ws, *args)
+                seen[key(ws, *args) if key else name] += 1
+                check(ws)
+                return result
+            monkeypatch.setattr(_Workspace, name, wrapper)
+
+        substitute = _Workspace.substitute
+
+        def tracked_substitute(ws, v):
+            moving.append(v)
+            substitute(ws, v)
+            moving.pop()
+
+        monkeypatch.setattr(_Workspace, "substitute", tracked_substitute)
+        checked("_commit", _Workspace._commit)
+        checked("drop", _Workspace.drop,
+                lambda ws, v: "trade" if moving and v != moving[-1] else "undo")
+        checked("force_place", _Workspace.force_place)
+        checked("remove_vertices", _Workspace.remove_vertices)
+        from_solution = _Workspace.from_solution.__func__
+
+        def checked_from_solution(cls, *args):
+            ws = from_solution(cls, *args)
+            seen["from_solution"] += 1
+            check(ws)
+            return ws
+
+        monkeypatch.setattr(_Workspace, "from_solution", classmethod(checked_from_solution))
+        rng = random.Random(2024)
+        for _ in range(40):
+            team_size = rng.randint(1, 4)
+            inst = random_instance(rng, rng.randint(3, 10), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([20.0, 60.0]))
+            d, arcs = prepared(inst)
+            for params in (SavingParams(0.7, 0.7, 0.7), SavingParams(0.0, 1.4, 2.1)):
+                sol = improve(inst, arcs, d, construct(inst, arcs, d, params))
+                assert check_solution(inst, sol).feasible
+        assert all(seen.values()), seen
 
     def test_slot_floors_drop_only_rejected_slots(self):
         # a non-empty-route slot that _slots leaves out must be one the

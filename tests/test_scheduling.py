@@ -26,7 +26,8 @@ from coptw import (
 )
 
 from coptw import scheduling
-from coptw.scheduling import TravelTimes, insert_starts, relax_starts
+from coptw.heuristic import _Workspace
+from coptw.scheduling import RouteScan, TravelTimes, insert_starts, relax_starts
 
 from conftest import make_instance, random_instance
 
@@ -183,9 +184,25 @@ def _bits(starts):
     return [x.hex() for x in starts]
 
 
+def _both_indexes(inst, routes, s, m, pos, v):
+    """insert_starts for one more visit of v before routes[m][pos], read
+    through a heuristic workspace's maintained index and through the exact
+    search's RouteScan of the routes.  Leaves the visit inserted in
+    `routes` and returns both results, (maintained, scanned)."""
+    d = build_distance_matrix(inst)
+    ws = _Workspace(inst, build_arc_set(inst, d), d)
+    ws.routes = [list(route) for route in routes]
+    ws._index()
+    ws.s = s
+    maintained = ws._try_slot(m, pos, v)
+    routes[m].insert(pos, v)
+    scanned = insert_starts(ws.tt, RouteScan(routes), s, v)
+    return maintained, scanned
+
+
 class TestInsertStarts:
     """insert_starts against relax_starts, the least fixed point it must
-    reach."""
+    reach, through both kinds of member index."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -208,15 +225,14 @@ class TestInsertStarts:
             if v in routes[m]:
                 continue
             pos = rng.randint(0, len(routes[m]))
-            routes[m].insert(pos, v)
+            maintained, got = _both_indexes(inst, routes, s, m, pos, v)
             status, expected, _, _ = relax_starts(tt, routes)
-            got = insert_starts(tt, routes, s, m, pos)
             if status == "ok":
-                assert got is not None
-                assert _bits(got) == _bits(expected)
+                assert got is not None and maintained is not None
+                assert _bits(got) == _bits(expected) == _bits(maintained)
                 s = got
             else:
-                assert got is None, status
+                assert got is None and maintained is None, status
                 routes[m].pop(pos)
 
     def test_zero_weight_cycle_converges(self):
@@ -234,11 +250,10 @@ class TestInsertStarts:
         routes = [[1, 2], [2]]
         status, s, _, _ = relax_starts(tt, routes)
         assert status == "ok"
-        routes[1].append(1)
-        got = insert_starts(tt, routes, s, 1, 1)
+        maintained, got = _both_indexes(inst, routes, s, 1, 1, 1)
         assert got is not None
         assert got[1] == got[2] == 12.0
-        assert relax_starts(tt, routes)[1] == got
+        assert relax_starts(tt, routes)[1] == got == maintained
 
     def test_positive_cycle_rejected(self):
         # service at both vertices pushes the other route's start forever;
@@ -255,8 +270,7 @@ class TestInsertStarts:
         routes = [[1, 2], [2]]
         status, s, _, _ = relax_starts(tt, routes)
         assert status == "ok"
-        routes[1].append(1)
-        assert insert_starts(tt, routes, s, 1, 1) is None
+        assert _both_indexes(inst, routes, s, 1, 1, 1) == (None, None)
 
     @pytest.mark.parametrize(
         "close, t_max, feasible",
@@ -271,7 +285,8 @@ class TestInsertStarts:
         # T_max, and none does one ulp earlier
         inst = make_instance([(3.0, 4.0, 2.0, 7.0, 0.0, close, 1)], team_size=1, t_max=t_max)
         tt = TravelTimes(inst)
-        got = insert_starts(tt, [[1]], tt.open, 0, 0)
+        maintained, got = _both_indexes(inst, [[]], tt.open, 0, 0, 1)
+        assert got == maintained
         assert (got is not None) == feasible
         assert check_solution(inst, Solution(routes=[[1]], served={1})).feasible == feasible
         assert (relax_starts(tt, [[1]])[0] == "ok") == feasible

@@ -5,6 +5,9 @@ to keep every result can be checked against its parent:
 
     python3 tools/digest.py --workload desk --req-seed 1
 
+``--req-seed`` also takes a comma list, ``--req-seed 1,2,3``, and then prints
+the lines of each seed in turn, each in the single-seed format.
+
 Run it from the root of each checkout; it imports the coptw sources of the
 checkout it lives in.  The rows are the benchmark's own (``build`` and
 ``ROWS`` of ``perfbench/run.py``), run once in row order in this process.
@@ -60,18 +63,27 @@ def sha256(records: list[dict]) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 
+def seeds(text: str) -> list[int]:
+    try:
+        return [int(word) for word in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seeds like 1 or 1,2,3, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(run.ROWS), required=True)
-    parser.add_argument("--req-seed", type=int, default=1, help="requirement draw seed")
+    parser.add_argument("--req-seed", type=seeds, default=[1],
+                        help="requirement draw seed, or a comma list of seeds")
     args = parser.parse_args(argv)
-    rows = run.build(args.workload, args.req_seed)
-    records = [record(args.workload, key, inst) for key, inst in rows]
-    label = f"{args.workload} req-seed {args.req_seed} ({len(rows)} rows)"
-    print(f"{sha256(records)}  {label}")
-    if args.workload == "oracle":
-        no_nodes = [{k: v for k, v in r.items() if k != "nodes"} for r in records]
-        print(f"{sha256(no_nodes)}  {label} without nodes")
+    for req_seed in args.req_seed:
+        rows = run.build(args.workload, req_seed)
+        records = [record(args.workload, key, inst) for key, inst in rows]
+        label = f"{args.workload} req-seed {req_seed} ({len(rows)} rows)"
+        print(f"{sha256(records)}  {label}", flush=True)
+        if args.workload == "oracle":
+            no_nodes = [{k: v for k, v in r.items() if k != "nodes"} for r in records]
+            print(f"{sha256(no_nodes)}  {label} without nodes", flush=True)
     return 0
 
 
