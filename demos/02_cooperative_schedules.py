@@ -36,11 +36,12 @@ def meeting_point_instance():
 
 def main():
     inst = meeting_point_instance()
-    sol = Solution(routes=[[1, 2], [3, 1], []], served={1, 2, 3})
+    sol = Solution(routes=[[1, 2], [3, 1], []])
     sched = propagate_schedule(inst, sol)
     assert isinstance(sched, Schedule)
 
     print("routes:", sol.routes)
+    print("served:", sorted(sol.served(inst)))
     print(f"score: {objective(inst, sol)}\n")
     for (member, vertex), arrival in sorted(sched.arrivals.items()):
         start = sched.starts[vertex]
@@ -61,7 +62,7 @@ def main():
         Vertex(2, 0.0, 0.0, 1.0, 5.0, 0.0, 1e6),
     ]
     crossed = Instance(vertices=vertices, requirements=[0, 2, 2], team_size=2, t_max=1e6)
-    diag = propagate_schedule(crossed, Solution(routes=[[1, 2], [2, 1]], served={1, 2}))
+    diag = propagate_schedule(crossed, Solution(routes=[[1, 2], [2, 1]]))
     print("diagnosis:", diag)
 
 

@@ -136,9 +136,14 @@ def run_bench(
     rows with empty numeric columns and the harness moves on."""
     if log is None:
         log = sys.stderr
-    # a bad limit is an input error for the whole run; inside the loop it
-    # would only be recorded as a failed row, once per row
+    # a bad limit, size, team size or r_max is an input error for the whole
+    # run; inside the loop it would only be recorded as a failed row, once
+    # per row.  A size above one file's customer count stays a row failure,
+    # since the files differ in size.
     OracleConfig(time_limit=oracle_limit)
+    for name, values in (("sizes", sizes), ("team sizes", members), ("r_max", [r_max])):
+        if min(values) < 1:
+            raise ValueError(f"{name} must be at least 1, got {min(values)}")
     rows: list[BenchRow] = []
     for path in sorted(files):
         set_name = set_name_of(path)

@@ -86,7 +86,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     try:
-        solution, claimed = parse_solution(_read(args.solution), instance)
+        solution, claimed = parse_solution(_read(args.solution))
     except (ParseError, ValidationError) as exc:
         raise ParseError(f"{args.solution}: {exc}") from None
     bad_ids = [

@@ -57,11 +57,11 @@ class _Workspace:
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
     0 for the depot.  `from_solution` builds it from the routes; `_commit`,
-    `force_place` and `drop` keep it in step at O(req) per visit.  `s` is replaced, never changed in place, so a move
-    can keep the old list to undo itself.  `version` increments on every
-    committed change; per-vertex failure versions let the pair loop skip
-    re-attempting a vertex that already failed against the identical route
-    state.
+    `force_place` and `drop` keep it in step at O(req) per visit.  `s` is
+    replaced, never changed in place, so a move can keep the old list to
+    undo itself.  `version` increments on every committed change;
+    per-vertex failure versions let the pair loop skip re-attempting a
+    vertex that already failed against the identical route state.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
@@ -91,9 +91,7 @@ class _Workspace:
         return ws
 
     def to_solution(self) -> Solution:
-        req = self.tt.req
-        return Solution(routes=[list(r) for r in self.routes],
-                        served={v for v in range(1, self.tt.n) if self.count[v] >= req[v]})
+        return Solution(routes=[list(r) for r in self.routes])
 
     # -- the member index -----------------------------------------------------
 
@@ -370,10 +368,8 @@ def improve(
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome undoes the move
     (`_Workspace.substitute`), so the returned score never drops below the
-    input score.  The result's served set comes from the visit counts: a
-    vertex is served when all its required members visit it.  `tt` is as
-    for construct.  An input with a late start, a late return or a circular
-    wait raises ValueError.
+    input score.  `tt` is as for construct.  An input with a late start, a
+    late return or a circular wait raises ValueError.
     """
     ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
     tt = ws.tt
@@ -425,10 +421,10 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
     Phase 1 calls `construct` for every triplet in grid order.  Phase 2
     calls `improve` once per distinct construction, in first-seen grid
     order.  The key is the routes, member order included; it is exact
-    because a construction's served set is its visited set and `improve`
-    is deterministic.  Each triplet then takes the improved result of its
-    construction, so `triplet_scores` has one entry per triplet and the
-    earliest triplet wins ties.  With `workers` above 1 both phases run on
+    because a solution is its routes and `improve` is deterministic.  Each
+    triplet then takes the improved result of its construction, so
+    `triplet_scores` has one entry per triplet and the earliest triplet
+    wins ties.  With `workers` above 1 both phases run on
     one process pool, which changes nothing but the wall time.  The
     distances, arcs, travel times and saving terms are built once and
     shared by every call; a pool receives them once per worker, through

@@ -250,10 +250,9 @@ class _Search:
         routes = [list(r) for r in self.best_routes]
         while len(routes) < self.team_size:
             routes.append([])
-        served = {v for route in routes for v in route}
         return OracleResult(
             best_score=self.best_score,
-            best_solution=Solution(routes=routes, served=served),
+            best_solution=Solution(routes=routes),
             proven_optimal=self.complete,
             explored_nodes=self.nodes,
         )

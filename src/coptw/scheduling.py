@@ -1,10 +1,11 @@
 """Cooperative schedule propagation and solution verification.
 
 A solution assigns one route (an ordered customer sequence, implicitly
-starting and ending at the depot) to each team member, plus the set of
-vertices considered served.  Because several members must start service
-simultaneously at a vertex, a member's timeline depends on start times in
-other routes; start times are therefore the least fixed point of
+starting and ending at the depot) to each team member; a vertex is served
+when at least its required number of members visit it.  Because several
+members must start service simultaneously at a vertex, a member's timeline
+depends on start times in other routes; start times are therefore the
+least fixed point of
 
     s_v = max(o_v, latest arrival of any member visiting v)
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +44,9 @@ from .instances import Instance, ParseError
 
 @dataclass
 class Solution:
-    """One route per team member plus the served-vertex set."""
+    """One route per team member; the served vertices follow from them."""
 
     routes: list[list[int]]
-    served: set[int] = field(default_factory=set)
 
     def visit_counts(self, n_vertices: int) -> list[int]:
         counts = [0] * n_vertices
@@ -56,9 +56,16 @@ class Solution:
                     counts[v] += 1
         return counts
 
+    def served(self, instance: Instance) -> set[int]:
+        """The customers visited by at least their required number of
+        members."""
+        counts = self.visit_counts(instance.n_vertices)
+        req = instance.requirements
+        return {v for v in range(1, instance.n_vertices) if counts[v] >= req[v]}
+
 
 def empty_solution(team_size: int) -> Solution:
-    return Solution(routes=[[] for _ in range(team_size)], served=set())
+    return Solution(routes=[[] for _ in range(team_size)])
 
 
 @dataclass
@@ -260,17 +267,27 @@ class RouteScan:
         return entries
 
 
-def _structurally_valid(instance: Instance, solution: Solution) -> bool:
+def route_faults(instance: Instance, routes: list[list[int]]) -> list[tuple[str, object]]:
+    """The structural entries of check_solution: a wrong route count
+    (depot-flow) first, then route by route in visiting order every unknown
+    id (conservation), visit of the depot (depot-flow) and repeated visit
+    (conservation)."""
     n = instance.n_vertices
-    if len(solution.routes) != instance.team_size:
-        return False
-    for route in solution.routes:
-        seen = set()
+    faults = []
+    if len(routes) != instance.team_size:
+        faults.append(("depot-flow", f"expected {instance.team_size} routes, got {len(routes)}"))
+    for m, route in enumerate(routes):
+        seen: set[int] = set()
         for v in route:
-            if not isinstance(v, int) or not 1 <= v < n or v in seen:
-                return False
-            seen.add(v)
-    return all(isinstance(v, int) and 1 <= v < n for v in solution.served)
+            if not isinstance(v, int) or not 0 <= v < n:
+                faults.append(("conservation", f"route {m} visits unknown vertex {v!r}"))
+            elif v == 0:
+                faults.append(("depot-flow", f"route {m} passes through the depot"))
+            elif v in seen:
+                faults.append(("conservation", f"route {m} visits vertex {v} twice"))
+            else:
+                seen.add(v)
+    return faults
 
 
 def late(tt: TravelTimes, routes: list[list[int]], s: list[float],
@@ -303,14 +320,18 @@ def bad_arcs(feas, routes: list[list[int]]):
 def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | ScheduleInfeasible:
     """Compute cooperative start times for a structurally valid solution.
 
-    Returns the Schedule at the fixed point, or a diagnosis: a deadlock when
-    the starts on a cycle still change after their count + 1 rounds, else
-    the first entry late() reports: the lowest-index late start or, when
-    there is none, the first member back after the horizon.  `rounds` are
-    relax_starts' rounds on cycles, 0 for an acyclic routing.
+    A solution with a route_faults() entry raises ValueError naming the
+    first one.  Returns the Schedule at the fixed point, or a diagnosis: a
+    deadlock when the starts on a cycle still change after their count + 1
+    rounds, else the first entry late() reports: the lowest-index late
+    start or, when there is none, the first member back after the horizon.
+    `rounds` are relax_starts' rounds on cycles, 0 for an acyclic routing.
     """
-    if not _structurally_valid(instance, solution):
-        raise ValueError("solution is not structurally valid; use check_solution for diagnosis")
+    faults = route_faults(instance, solution.routes)
+    if faults:
+        family, detail = faults[0]
+        raise ValueError(f"solution is not structurally valid ({family}: {detail}); "
+                         "use check_solution for diagnosis")
     tt = TravelTimes(instance)
     status, s, returns, rounds = relax_starts(tt, solution.routes)
     if status != "ok":
@@ -337,45 +358,21 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
     Every problem becomes a (family, offender) entry; nothing raises, so the
     checker accepts arbitrary garbage.  Families: depot-flow (team departs
     from and returns to the depot, one route per member), conservation
-    (structural route integrity), requirement (served vertices meet their
-    member requirement; visited vertices must be served), window-close
-    (propagated service start within the window; starts never precede the
-    opening time), horizon (returns by the deadline), deadlock (cross-route
-    waits that never stabilize, so no start times exist), arc-feasibility
-    (every traversed arc is in the arc set).  The schedule entries come from
-    late() and the arc entries from bad_arcs(), over one distance matrix
-    built for the travel times and the arc set alike.
+    (structural route integrity), requirement (each visited vertex, in
+    ascending order, that fewer members visit than it requires),
+    window-close (propagated service start within the window; starts never
+    precede the opening time), horizon (returns by the deadline), deadlock
+    (cross-route waits that never stabilize, so no start times exist),
+    arc-feasibility (every traversed arc is in the arc set).  The structural
+    entries come from route_faults(), the schedule entries from late() and
+    the arc entries from bad_arcs(), over one distance matrix built for the
+    travel times and the arc set alike.
     """
-    violations: list[tuple[str, object]] = []
-    n = instance.n_vertices
     routes = solution.routes
-    if len(routes) != instance.team_size:
-        violations.append(
-            ("depot-flow", f"expected {instance.team_size} routes, got {len(routes)}")
-        )
-    ids_ok = True
-    for m, route in enumerate(routes):
-        seen: set[int] = set()
-        for v in route:
-            if not isinstance(v, int) or not 0 <= v < n:
-                violations.append(("conservation", f"route {m} visits unknown vertex {v!r}"))
-                ids_ok = False
-            elif v == 0:
-                violations.append(("depot-flow", f"route {m} passes through the depot"))
-                ids_ok = False
-            elif v in seen:
-                violations.append(("conservation", f"route {m} visits vertex {v} twice"))
-                ids_ok = False
-            else:
-                seen.add(v)
-    served_ok: set[int] = set()
-    for v in sorted(solution.served, key=repr):
-        if isinstance(v, int) and 1 <= v < n:
-            served_ok.add(v)
-        else:
-            violations.append(("requirement", f"served set names unknown vertex {v!r}"))
-
-    if ids_ok:
+    violations = route_faults(instance, routes)
+    # a wrong route count still leaves every id usable; a fault inside a
+    # route does not, so the checks below need none
+    if len(violations) == (len(routes) != instance.team_size):
         d = build_distance_matrix(instance)
         tt = TravelTimes(instance, d)
         status, s, returns, _ = relax_starts(tt, routes)
@@ -388,14 +385,10 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
         feas = build_arc_set(instance, d).feasible
         violations += [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)]
 
-        counts = solution.visit_counts(n)
+        counts = solution.visit_counts(instance.n_vertices)
         req = instance.requirements
-        for v in sorted(served_ok):
-            if counts[v] < req[v]:
-                violations.append(("requirement", v))
-        for v in sorted({v for route in routes for v in route}):
-            if v not in served_ok:
-                violations.append(("requirement", v))
+        violations += [("requirement", v) for v in sorted({v for route in routes for v in route})
+                       if counts[v] < req[v]]
 
     return FeasibilityReport(feasible=not violations, violations=violations)
 
@@ -403,7 +396,7 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
 def objective(instance: Instance, solution: Solution) -> float:
     """Total reward collected over the served vertices."""
     rewards = [v.reward for v in instance.vertices]
-    return float(sum(rewards[v] for v in sorted(solution.served)))
+    return float(sum(rewards[v] for v in sorted(solution.served(instance))))
 
 
 def format_solution(solution: Solution, score: float) -> str:
@@ -416,14 +409,12 @@ def format_solution(solution: Solution, score: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str, instance: Instance) -> tuple[Solution, float]:
+def parse_solution(text: str) -> tuple[Solution, float]:
     """Inverse of format_solution.
 
-    The served set is reconstructed from visit counts: a vertex is served
-    when it is visited by at least its required number of members.  Returns
-    the solution and the score recorded in the file (the caller re-verifies
-    it against the instance).  The file must claim exactly one finite
-    score.
+    Returns the solution and the score recorded in the file (the caller
+    re-verifies both against the instance).  The file must claim exactly
+    one finite score.
     """
     routes: list[list[int]] = []
     score: float | None = None
@@ -459,11 +450,4 @@ def parse_solution(text: str, instance: Instance) -> tuple[Solution, float]:
             raise ParseError(f"line {lineno}: unrecognized line {stripped!r}")
     if score is None:
         raise ParseError("missing score line")
-    solution = Solution(routes=routes, served=set())
-    counts = solution.visit_counts(instance.n_vertices)
-    solution.served = {
-        v
-        for v in range(1, instance.n_vertices)
-        if counts[v] > 0 and counts[v] >= instance.requirements[v]
-    }
-    return solution, score
+    return Solution(routes=routes), score

@@ -200,7 +200,7 @@ def test_criterion_6_scheduler_properties():
     for _ in range(200):
         inst = random_instance(rng, rng.randint(3, 7), team_size=rng.randint(2, 3))
         routes = _random_routes(rng, inst)
-        outcome = propagate_schedule(inst, Solution(routes=routes, served=set()))
+        outcome = propagate_schedule(inst, Solution(routes=routes))
         if isinstance(outcome, Schedule):
             for v, s in outcome.starts.items():
                 if not inst.vertices[v].open <= s <= inst.vertices[v].close:
@@ -216,7 +216,7 @@ def test_criterion_6_scheduler_properties():
             for v, m in options:
                 pos = rng.randint(0, len(routes[m]))
                 routes[m].insert(pos, v)
-                grown = propagate_schedule(inst, Solution(routes=routes, served=set()))
+                grown = propagate_schedule(inst, Solution(routes=routes))
                 if isinstance(grown, Schedule):
                     monotone_checked += 1
                     for u, s in outcome.starts.items():
@@ -239,7 +239,7 @@ def test_criterion_6_scheduler_properties():
             team_size=2,
             t_max=1e9,
         )
-        diag = propagate_schedule(inst, Solution(routes=[[1, 2], [2, 1]], served={1, 2}))
+        diag = propagate_schedule(inst, Solution(routes=[[1, 2], [2, 1]]))
         if (
             isinstance(diag, ScheduleInfeasible)
             and diag.kind == "deadlock"

@@ -254,6 +254,19 @@ class TestBenchCommand:
         assert main(argv + ["--oracle-limit", "inf"]) == 0
         assert csv_path.read_text().splitlines()[1].endswith(",true")
 
+    @pytest.mark.parametrize("flag, value", [("--sizes", "0"), ("--sizes", "-3"),
+                                             ("--members", "0"), ("--r-max", "0")])
+    def test_bad_size_members_or_r_max_exit_2(self, tmp_path, flag, value):
+        # each used to exit 0 after writing a CSV whose rows all failed
+        indir = tmp_path / "in"
+        indir.mkdir()
+        (indir / "s100_1.txt").write_text(SOLOMON_SMALL)
+        csv_path = tmp_path / "out.csv"
+        argv = ["bench", str(indir), "-o", str(csv_path), "--sizes", "3", "--members", "2",
+                "--no-oracle"]
+        assert main(argv + [flag, value]) == 2
+        assert not csv_path.exists()
+
     def test_empty_directory_exit_2(self, tmp_path):
         indir = tmp_path / "empty"
         indir.mkdir()

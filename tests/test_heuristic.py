@@ -68,7 +68,7 @@ class TestConstruct:
         d, arcs = prepared(inst)
         sol = construct(inst, arcs, d, SavingParams(0.7, 0.7, 0.7))
         assert sol.routes == [[], []]
-        assert sol.served == set()
+        assert sol.served(inst) == set()
         assert objective(inst, sol) == 0.0
 
     def test_pair_requirement_met_by_two_members(self):
@@ -77,7 +77,7 @@ class TestConstruct:
         )
         d, arcs = prepared(inst)
         sol = construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0))
-        assert sol.served == {1}
+        assert sol.served(inst) == {1}
         assert sum(1 for route in sol.routes if 1 in route) == 2
         assert objective(inst, sol) == 40.0
 
@@ -87,7 +87,7 @@ class TestConstruct:
         )
         d, arcs = prepared(inst)
         sol = construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0))
-        assert sol.served == set()
+        assert sol.served(inst) == set()
         assert sol.routes == [[], []]
 
     def test_no_partially_served_vertices_remain(self):
@@ -221,7 +221,7 @@ class TestConstruct:
             t_max=100.0,
         )
         d, arcs = prepared(inst)
-        ws = _Workspace.from_solution(inst, arcs, d, Solution(routes=[[2]], served={2}))
+        ws = _Workspace.from_solution(inst, arcs, d, Solution(routes=[[2]]))
         assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
         assert ws._try_slot(0, 0, 1)[2] == 12.0
 
@@ -252,20 +252,20 @@ class TestImprove:
     def test_substitution_move_commits(self):
         inst = self.swap_instance()
         d, arcs = prepared(inst)
-        start = Solution(routes=[[1]], served={1})
+        start = Solution(routes=[[1]])
         assert check_solution(inst, start).feasible
         out = improve(inst, arcs, d, start)
-        assert out.served == {2}
+        assert out.served(inst) == {2}
         assert out.routes == [[2]]
         assert objective(inst, out) - objective(inst, start) == 20.0
 
     def test_worse_newcomer_rolled_back(self):
         inst = self.swap_instance(reward_in=30.0, reward_out=10.0)
         d, arcs = prepared(inst)
-        start = Solution(routes=[[1]], served={1})
+        start = Solution(routes=[[1]])
         out = improve(inst, arcs, d, start)
         assert out.routes == [[1]]
-        assert out.served == {1}
+        assert out.served(inst) == {1}
 
     @pytest.mark.parametrize(
         "customers, t_max, routes, violation",
@@ -281,7 +281,7 @@ class TestImprove:
     def test_infeasible_input_rejected(self, customers, t_max, routes, violation):
         inst = make_instance(customers, team_size=1, t_max=t_max)
         d, arcs = prepared(inst)
-        start = Solution(routes=routes, served=set(range(1, inst.n_vertices)))
+        start = Solution(routes=routes)
         assert check_solution(inst, start).violations == [violation]
         with pytest.raises(ValueError):
             improve(inst, arcs, d, start)
@@ -296,10 +296,10 @@ class TestImprove:
             t_max=100.0,
         )
         d, arcs = prepared(inst)
-        start = Solution(routes=[[1]], served={1})
+        start = Solution(routes=[[1]])
         out = improve(inst, arcs, d, start)
         assert out.routes == start.routes
-        assert out.served == start.served
+        assert out.served(inst) == start.served(inst) == {1}
 
     def test_never_decreases_score(self):
         rng = random.Random(17)

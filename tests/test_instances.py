@@ -240,7 +240,7 @@ VALID_TEXTS = (
     SOLOMON_SAMPLE,
     CORDEAU_SAMPLE,
     write_coptw(FUZZ_INSTANCE),
-    format_solution(Solution(routes=[[3, 1], [1]], served={1, 3}), 20.0),
+    format_solution(Solution(routes=[[3, 1], [1]]), 20.0),
 )
 # pieces that sit on the readers' edges: separators, signs, non-finite and
 # out-of-range numbers, keywords of every format, control characters
@@ -271,7 +271,7 @@ class TestReaderFuzz:
         readers = (
             parse_benchmark,
             read_coptw,
-            lambda t: parse_solution(t, FUZZ_INSTANCE),
+            parse_solution,
         )
         for read in readers:
             try:

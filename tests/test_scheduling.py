@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -41,7 +42,7 @@ class TestPropagate:
         inst = make_instance(
             [(15.1, 0.0, 5.0, 10.0, 15.0, 67.0, 1)], team_size=1, t_max=100.0
         )
-        sched = propagate_schedule(inst, Solution(routes=[[1]], served={1}))
+        sched = propagate_schedule(inst, Solution(routes=[[1]]))
         assert isinstance(sched, Schedule)
         assert sched.starts[1] == 15.1
         assert sched.arrivals[(0, 1)] == 15.1
@@ -51,7 +52,7 @@ class TestPropagate:
         inst = make_instance(
             [(5.0, 0.0, 1.0, 10.0, 10.0, 50.0, 1)], team_size=1, t_max=100.0
         )
-        sched = propagate_schedule(inst, Solution(routes=[[1]], served={1}))
+        sched = propagate_schedule(inst, Solution(routes=[[1]]))
         assert sched.starts[1] == 10.0
         assert sched.arrivals[(0, 1)] == 5.0
 
@@ -66,7 +67,7 @@ class TestPropagate:
             team_size=2,
             t_max=100.0,
         )
-        sol = Solution(routes=[[1, 2], [2]], served={1, 2})
+        sol = Solution(routes=[[1, 2], [2]])
         sched = propagate_schedule(inst, sol)
         assert sched.starts[1] == 6.0
         assert sched.starts[2] == 12.0
@@ -83,7 +84,7 @@ class TestPropagate:
             team_size=3,
             t_max=1236.0,
         )
-        sol = Solution(routes=[[1], [1, 2], [1, 2]], served={1, 2})
+        sol = Solution(routes=[[1], [1, 2], [1, 2]])
         sched = propagate_schedule(inst, sol)
         assert isinstance(sched, Schedule)
         assert sched.starts[1] == 15.1
@@ -100,7 +101,7 @@ class TestPropagate:
             team_size=2,
             t_max=500.0,
         )
-        sol = Solution(routes=[[1], [2]], served={1, 2})
+        sol = Solution(routes=[[1], [2]])
         diag = propagate_schedule(inst, sol)
         assert isinstance(diag, ScheduleInfeasible)
         assert diag.kind == "window"
@@ -110,7 +111,7 @@ class TestPropagate:
         inst = make_instance(
             [(40.0, 0.0, 5.0, 5.0, 0.0, 100.0, 1)], team_size=1, t_max=84.0
         )
-        diag = propagate_schedule(inst, Solution(routes=[[1]], served={1}))
+        diag = propagate_schedule(inst, Solution(routes=[[1]]))
         assert isinstance(diag, ScheduleInfeasible)
         assert diag.kind == "horizon"
         assert diag.route == 0
@@ -126,16 +127,26 @@ class TestPropagate:
             team_size=2,
             t_max=1e6,
         )
-        sol = Solution(routes=[[1, 2], [2, 1]], served={1, 2})
+        sol = Solution(routes=[[1, 2], [2, 1]])
         diag = propagate_schedule(inst, sol)
         assert isinstance(diag, ScheduleInfeasible)
         assert diag.kind == "deadlock"
         assert diag.rounds <= 4 + 1
 
-    def test_rejects_structural_garbage(self):
+    @pytest.mark.parametrize("routes", [
+        pytest.param([[1], [1]], id="route-count"),
+        pytest.param([[0]], id="depot"),
+        pytest.param([[1, 1]], id="duplicate"),
+        pytest.param([[9]], id="unknown-id"),
+    ])
+    def test_rejects_structural_garbage(self, routes):
+        # each structural fault the checker reports makes propagation raise,
+        # naming the checker's entry
         inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=1, t_max=50.0)
-        with pytest.raises(ValueError):
-            propagate_schedule(inst, Solution(routes=[[1], [1]], served={1}))
+        sol = Solution(routes=routes)
+        [(family, detail)] = check_solution(inst, sol).violations
+        with pytest.raises(ValueError, match=re.escape(f"{family}: {detail}")):
+            propagate_schedule(inst, sol)
 
     def test_monotone_under_insertion(self):
         # adding a visit never lowers any existing fixed-point start
@@ -144,14 +155,14 @@ class TestPropagate:
         while checked < 60:
             inst = random_instance(rng, rng.randint(3, 7), team_size=rng.randint(2, 3))
             routes = _random_routes(rng, inst)
-            before = propagate_schedule(inst, Solution(routes=routes, served=set()))
+            before = propagate_schedule(inst, Solution(routes=routes))
             if not isinstance(before, Schedule):
                 continue
             v, m = _random_insertable(rng, inst, routes)
             if v is None:
                 continue
             routes[m].insert(rng.randint(0, len(routes[m])), v)
-            after = propagate_schedule(inst, Solution(routes=routes, served=set()))
+            after = propagate_schedule(inst, Solution(routes=routes))
             if not isinstance(after, Schedule):
                 continue
             for u, s_before in before.starts.items():
@@ -288,7 +299,7 @@ class TestInsertStarts:
         maintained, got = _both_indexes(inst, [[]], tt.open, 0, 0, 1)
         assert got == maintained
         assert (got is not None) == feasible
-        assert check_solution(inst, Solution(routes=[[1]], served={1})).feasible == feasible
+        assert check_solution(inst, Solution(routes=[[1]])).feasible == feasible
         assert (relax_starts(tt, [[1]])[0] == "ok") == feasible
         score = 7.0 if feasible else 0.0
         result = solve(inst)
@@ -399,13 +410,16 @@ class TestRelaxStarts:
         assert returns == [23.0, 23.0]
 
 
-SCHEDULE_FAMILIES = ("window-close", "horizon", "deadlock", "arc-feasibility")
+POST_CHECK_FAMILIES = ("window-close", "horizon", "deadlock", "arc-feasibility",
+                       "requirement")
 
 
 def _hand_post_checks(inst, routes):
     """The hand-written window, horizon and arc scans over a full relaxation
-    that late() and bad_arcs() replaced: the checker's schedule and arc
-    entries, and propagate_schedule's diagnosis (None for a schedule)."""
+    that late() and bad_arcs() replaced, and the two requirement loops over
+    a stored served set that Solution.served replaced: the checker's
+    schedule, arc and requirement entries, and propagate_schedule's
+    diagnosis (None for a schedule)."""
     d = build_distance_matrix(inst)
     tt = TravelTimes(inst, d)
     status, s, returns, rounds = relax_starts(tt, routes)
@@ -434,11 +448,25 @@ def _hand_post_checks(inst, routes):
             prev = v
         if route and not feas[prev][0]:
             entries.append(("arc-feasibility", (prev, 0)))
+    # the served set a solution file's parser rebuilt from visit counts
+    counts = [0] * inst.n_vertices
+    for route in routes:
+        for v in route:
+            counts[v] += 1
+    req = inst.requirements
+    served = {v for v in range(1, inst.n_vertices) if counts[v] > 0 and counts[v] >= req[v]}
+    for v in sorted(served):
+        if counts[v] < req[v]:
+            entries.append(("requirement", v))
+    for v in sorted({v for route in routes for v in route}):
+        if v not in served:
+            entries.append(("requirement", v))
     return entries, diagnosis, s, returns
 
 
 class TestPostChecks:
-    """late() and bad_arcs() through their callers, against the hand scans."""
+    """late(), bad_arcs() and Solution.served through their callers,
+    against the hand scans."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -454,10 +482,10 @@ class TestPostChecks:
         rng = random.Random(seed)
         inst, routes = _crossed_pair_routing(rng, n, team_size, window, horizon,
                                              pair_service)
-        sol = Solution(routes=routes, served=set())
+        sol = Solution(routes=routes)
         entries, diagnosis, s, returns = _hand_post_checks(inst, routes)
         report = check_solution(inst, sol)
-        assert [e for e in report.violations if e[0] in SCHEDULE_FAMILIES] == entries
+        assert [e for e in report.violations if e[0] in POST_CHECK_FAMILIES] == entries
         got = propagate_schedule(inst, sol)
         if diagnosis is None:
             assert isinstance(got, Schedule)
@@ -476,34 +504,29 @@ class TestChecker:
 
     def test_depot_flow_route_count(self):
         inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=2, t_max=100.0)
-        report = check_solution(inst, Solution(routes=[[]], served=set()))
+        report = check_solution(inst, Solution(routes=[[]]))
         assert families(report) == ["depot-flow"]
 
     def test_depot_flow_depot_in_route(self):
         inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=1, t_max=100.0)
-        report = check_solution(inst, Solution(routes=[[0]], served=set()))
+        report = check_solution(inst, Solution(routes=[[0]]))
         assert families(report) == ["depot-flow"]
 
     def test_conservation_duplicate_visit(self):
         inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=1, t_max=100.0)
-        report = check_solution(inst, Solution(routes=[[1, 1]], served=set()))
+        report = check_solution(inst, Solution(routes=[[1, 1]]))
         assert families(report) == ["conservation"]
 
     def test_conservation_unknown_vertex(self):
         inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=1, t_max=100.0)
-        report = check_solution(inst, Solution(routes=[[9]], served=set()))
+        report = check_solution(inst, Solution(routes=[[9]]))
         assert families(report) == ["conservation"]
-
-    def test_requirement_served_without_visits(self):
-        inst = make_instance([(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 1)], team_size=1, t_max=100.0)
-        report = check_solution(inst, Solution(routes=[[]], served={1}))
-        assert families(report) == ["requirement"]
 
     def test_requirement_visited_but_unserved(self):
         inst = make_instance(
             [(4.0, 3.0, 1.0, 7.0, 0.0, 50.0, 2)], team_size=2, t_max=100.0
         )
-        sol = Solution(routes=[[1], []], served=set())
+        sol = Solution(routes=[[1], []])
         report = check_solution(inst, sol)
         assert families(report) == ["requirement"]
 
@@ -516,7 +539,7 @@ class TestChecker:
             team_size=1,
             t_max=200.0,
         )
-        report = check_solution(inst, Solution(routes=[[1, 2]], served={1, 2}))
+        report = check_solution(inst, Solution(routes=[[1, 2]]))
         assert families(report) == ["window-close"]
         assert ("window-close", 2) in report.violations
 
@@ -524,7 +547,7 @@ class TestChecker:
         inst = make_instance(
             [(40.0, 0.0, 5.0, 5.0, 0.0, 100.0, 1)], team_size=1, t_max=84.0
         )
-        report = check_solution(inst, Solution(routes=[[1]], served={1}))
+        report = check_solution(inst, Solution(routes=[[1]]))
         assert families(report) == ["horizon"]
 
     def test_arc_feasibility_on_propagated_schedule(self):
@@ -539,7 +562,7 @@ class TestChecker:
             team_size=1,
             t_max=200.0,
         )
-        sol = Solution(routes=[[1, 2]], served={1, 2})
+        sol = Solution(routes=[[1, 2]])
         report = check_solution(inst, sol)
         assert families(report) == ["arc-feasibility", "window-close"]
         assert ("arc-feasibility", (1, 2)) in report.violations
@@ -554,7 +577,7 @@ class TestChecker:
             team_size=2,
             t_max=1e6,
         )
-        report = check_solution(inst, Solution(routes=[[1, 2], [2, 1]], served={1, 2}))
+        report = check_solution(inst, Solution(routes=[[1, 2], [2, 1]]))
         assert families(report) == ["deadlock"]
 
     def test_one_distance_matrix_per_check(self, monkeypatch):
@@ -569,24 +592,28 @@ class TestChecker:
         inst = random_instance(random.Random(4), 5, team_size=2)
         for routes in ([[], []], [[1, 2], [3]], [[1, 2], [2, 1]], [[4, 5, 1], [5]]):
             builds.clear()
-            check_solution(inst, Solution(routes=routes, served={1}))
+            check_solution(inst, Solution(routes=routes))
             assert len(builds) == 1, routes
 
 
 class TestObjective:
     def test_single_vertex(self):
         inst = make_instance([(1.0, 0.0, 0.0, 20.0, 0.0, 50.0, 1)], team_size=1, t_max=100.0)
-        assert objective(inst, Solution(routes=[[1]], served={1})) == 20.0
+        assert objective(inst, Solution(routes=[[1]])) == 20.0
 
     def test_matches_independent_summation(self):
+        # a customer pays once its required number of members visit it
         rng = random.Random(5)
         inst = random_instance(rng, 5, team_size=3)
-        served = {1, 2, 3, 4, 5}
-        expected = 0.0
-        for v in served:
-            expected += inst.vertices[v].reward
-        sol = Solution(routes=[[1, 2], [3, 4], [5]], served=served)
-        assert objective(inst, sol) == expected
+        req = inst.requirements
+        full = Solution(routes=[[v for v in range(1, 6) if m < req[v]] for m in range(3)])
+        one_each = Solution(routes=[[1, 2], [3, 4], [5]])
+        for sol, paid in ((full, range(1, 6)), (one_each, [v for v in range(1, 6) if req[v] == 1])):
+            expected = 0.0
+            for v in paid:
+                expected += inst.vertices[v].reward
+            assert objective(inst, sol) == expected
+        assert 0 < len(one_each.served(inst)) < 5
 
 
 class TestSolutionText:
@@ -599,43 +626,40 @@ class TestSolutionText:
             team_size=3,
             t_max=100.0,
         )
-        sol = Solution(routes=[[1, 2], [2], []], served={1, 2})
+        sol = Solution(routes=[[1, 2], [2], []])
         text = format_solution(sol, 16.0)
-        parsed, score = parse_solution(text, inst)
+        parsed, score = parse_solution(text)
         assert parsed.routes == sol.routes
-        assert parsed.served == sol.served
+        assert parsed.served(inst) == sol.served(inst) == {1, 2}
         assert score == 16.0
 
     def test_served_reconstruction_spots_undercounts(self):
         inst = make_instance(
             [(0.0, 4.0, 1.0, 9.0, 0.0, 60.0, 2)], team_size=2, t_max=100.0
         )
-        parsed, _ = parse_solution("member 1: 1\nmember 2:\nscore: 9.0\n", inst)
-        assert parsed.served == set()
+        parsed, _ = parse_solution("member 1: 1\nmember 2:\nscore: 9.0\n")
+        assert parsed.served(inst) == set()
 
     def test_malformed_lines_rejected(self):
-        inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=1, t_max=50.0)
         with pytest.raises(ParseError):
-            parse_solution("member 2: 1\nscore: 1\n", inst)
+            parse_solution("member 2: 1\nscore: 1\n")
         with pytest.raises(ParseError):
-            parse_solution("member 1: 1\n", inst)
+            parse_solution("member 1: 1\n")
         with pytest.raises(ParseError):
-            parse_solution("member 1: x\nscore: 1\n", inst)
+            parse_solution("member 1: x\nscore: 1\n")
 
     @pytest.mark.parametrize("line", ["member 1 1", "member 1", "membership 1: 1",
                                       "member 1 2: 1", "member: 1"])
     def test_member_line_needs_exactly_member_k_colon(self, line):
         # without the colon "member 1 1" used to parse as an empty route
-        inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=1, t_max=50.0)
         with pytest.raises(ParseError):
-            parse_solution(f"{line}\nscore: 0.0\n", inst)
+            parse_solution(f"{line}\nscore: 0.0\n")
 
     @pytest.mark.parametrize("scores", [["0.0", "5.0"], ["5.0", "5.0"], ["nan"], ["inf"],
                                         ["-inf"], ["0.0", "nan"]])
     def test_exactly_one_finite_score(self, scores):
         # the last of several score lines used to be the claim, and nan or
         # inf were accepted as claims
-        inst = make_instance([(1.0, 0.0, 0.0, 1.0, 0.0, 10.0, 1)], team_size=2, t_max=50.0)
         text = "member 1:\nmember 2:\n" + "".join(f"score: {v}\n" for v in scores)
         with pytest.raises(ParseError):
-            parse_solution(text, inst)
+            parse_solution(text)

@@ -55,7 +55,7 @@ def record(workload: str, key: str, inst) -> dict:
         "score": result.best_score,
         "params": dataclasses.astuple(result.best_params),
         "routes": result.best_solution.routes,
-        "served": sorted(result.best_solution.served),
+        "served": sorted(result.best_solution.served(inst)),
     }
 
 
