@@ -26,7 +26,8 @@ def main():
         for seed in (1, 2):
             inst = augment(truncate(raw, size), seed, r_max=3, team_size=3)
             heur = solve(inst)
-            exact = exact_solve(inst, OracleConfig(time_limit=30.0))
+            exact = exact_solve(inst, OracleConfig(time_limit=30.0),
+                                incumbent=heur.best_solution)
             if exact.proven_optimal:
                 gap = optimality_gap(heur.best_score, exact.best_score)
                 gaps.append(gap)

@@ -2,11 +2,12 @@
 
 For every (file, size, team size) combination the harness truncates the
 benchmark, attaches requirements with the run's seed, solves it with the
-savings heuristic and, unless disabled, runs the exact search under a time
-limit.  Gaps are reported only against proven optima; rows the search could
-not finish keep their oracle columns empty and are flagged, never silently
-dropped.  Requirement draws are positional, so every size and team-size
-variant of the same file shares one draw per seed.
+savings heuristic and, unless disabled, runs the exact search from the
+heuristic's solution under a time limit.  Gaps are reported only against
+proven optima; rows the search could not finish keep their oracle columns
+empty and are flagged, never silently dropped.  Requirement draws are
+positional, so every size and team-size variant of the same file shares one
+draw per seed.
 
 Row order follows the sorted input files and the given size/member lists,
 so a fixed seed reproduces the CSV byte for byte (time columns are wall
@@ -101,7 +102,8 @@ def bench_one(
     proven = False
     if run_oracle:
         t0 = time.perf_counter()
-        oracle_result = exact_solve(instance, OracleConfig(time_limit=oracle_limit))
+        oracle_result = exact_solve(instance, OracleConfig(time_limit=oracle_limit),
+                                    incumbent=result.best_solution)
         oracle_time = time.perf_counter() - t0
         proven = oracle_result.proven_optimal
         if proven:

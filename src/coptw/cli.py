@@ -89,16 +89,13 @@ def _cmd_verify(args) -> int:
         solution, claimed = parse_solution(_read(args.solution))
     except (ParseError, ValidationError) as exc:
         raise ParseError(f"{args.solution}: {exc}") from None
-    bad_ids = [
-        v for route in solution.routes for v in route
-        if not 0 <= v < instance.n_vertices
-    ]
-    if bad_ids:
-        raise ParseError(
-            f"{args.solution} does not match {args.instance}: "
-            f"unknown vertex {bad_ids[0]}"
-        )
     report = check_solution(instance, solution)
+    # an id outside the instance means the two files do not belong together
+    unknown = [detail for family, detail in report.violations
+               if family == "conservation" and "unknown vertex" in detail]
+    if unknown:
+        raise ParseError(f"{args.solution} does not match {args.instance}: "
+                         + unknown[0][unknown[0].index("unknown vertex"):])
     score = objective(instance, solution)
     if report.feasible and claimed != score:
         report.feasible = False

@@ -12,10 +12,14 @@ completed: each unopened route may add one visit to a customer, and the
 open route one more only while its tail can still reach the customer by
 its closing time.
 
-The incumbent at any node is the current routes with not-yet-completed
-visits stripped out; stripping visits only lowers start times, so the
-incumbent is always a valid solution.  When limits stop the search early
-the incumbent is returned with proven_optimal=False.
+The search starts from a verified incumbent, by default the savings
+heuristic's best solution: the bound cuts from the root on, and the
+heuristic already reaches the optimum on most small rows.  An empty
+solution as the incumbent gives the cold search, which finds every
+incumbent by itself.  The incumbent at any node is the current routes with
+not-yet-completed visits stripped out; stripping visits only lowers start
+times, so the incumbent is always a valid solution.  When limits stop the
+search early the incumbent is returned with proven_optimal=False.
 """
 
 from __future__ import annotations
@@ -26,13 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import build_arc_set, build_distance_matrix
+from .heuristic import solve
 from .instances import Instance
-from .scheduling import RouteScan, Solution, TravelTimes, insert_starts, relax_starts
+from .scheduling import (RouteScan, Solution, TravelTimes, check_solution, insert_starts,
+                         objective, relax_starts)
 
 
 @dataclass
 class OracleConfig:
-    """Search limits; `time_limit` is in seconds and `inf` means none."""
+    """Search limits; `time_limit` is in seconds and `inf` means none.
+
+    The time limit covers the whole `exact_solve` call, the heuristic solve
+    that seeds the default incumbent included.  That solve runs to its end
+    and cannot be interrupted: a limit shorter than it stops the search at
+    its first deadline check, and the call returns the unproven incumbent.
+    """
 
     node_limit: int = 10**9
     time_limit: float = 300.0
@@ -258,19 +270,37 @@ class _Search:
         )
 
 
-def exact_solve(instance: Instance, config: OracleConfig | None = None) -> OracleResult:
+def exact_solve(instance: Instance, config: OracleConfig | None = None,
+                incumbent: Solution | None = None) -> OracleResult:
     """Find the maximum collectible reward by exhaustive search.
 
+    The search starts from `incumbent`, by default the best solution of
+    `heuristic.solve(instance, workers=1)`; a caller that already has it
+    passes it and saves the second solve.  The incumbent must pass
+    check_solution, else ValueError.  The search only replaces it with a
+    strictly better solution, so on a tie its routes come back.  Passing
+    `empty_solution(instance.team_size)` runs the cold search.
+
     Measured on a 2-vCPU Xeon under Python 3.11: the 16 benchmark rows at
-    10-12 customers and 3-4 members (requirement seed 1) prove in 1.8k to
-    146k nodes each, about 5 s for all 16; c100_1 at 12 customers and 4
-    members is still unproven after 20 s and 2.7M nodes.  When the node or
-    time limit stops the search, the incumbent is reported with
-    proven_optimal=False.
+    10-12 customers and 3-4 members (requirement seed 1) prove in 811 to
+    135k nodes each, 477k in all (711k cold), about 4 s for all 16 with
+    their seed solves; c100_1 at 12 customers and 4 members is still
+    unproven after 25 s and 4.2M nodes, though the heuristic's 298 is its
+    optimum.  When the node or time limit stops the search, the incumbent
+    is reported with proven_optimal=False.
     """
     if config is None:
         config = OracleConfig()
-    return _Search(instance, config).run()
+    search = _Search(instance, config)  # its deadline covers the seed solve
+    if incumbent is None:
+        incumbent = solve(instance, workers=1).best_solution
+    violations = check_solution(instance, incumbent).violations
+    if violations:
+        family, detail = violations[0]
+        raise ValueError(f"incumbent is infeasible ({family}: {detail})")
+    search.best_score = objective(instance, incumbent)
+    search.best_routes = [list(r) for r in incumbent.routes if r]
+    return search.run()
 
 
 def optimality_gap(heuristic_score: float, optimal_score: float) -> float:

@@ -116,6 +116,19 @@ class TestSolveVerifyOracle:
         alien.write_text("member 1: 42\nmember 2:\nscore: 5.0\n")
         assert main(["verify", str(inst_path), str(alien)]) == 2
 
+    @pytest.mark.parametrize("vertex", [-1, 7])
+    def test_unknown_vertex_exit_2(self, tmp_path, capsys, vertex):
+        # the augmented file has vertices 0..6
+        inst_path = self.make_coptw(tmp_path)
+        capsys.readouterr()
+        sol_path = tmp_path / "alien.sol"
+        sol_path.write_text(f"member 1: 1\nmember 2: {vertex}\nscore: 0.0\n")
+        assert main(["verify", str(inst_path), str(sol_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {sol_path} does not match {inst_path}: "
+                                f"unknown vertex {vertex}\n")
+
     def test_nonfinite_velocity_exit_2(self, tmp_path):
         src, _ = write_inputs(tmp_path)
         inst_path = self.make_coptw(tmp_path)
@@ -163,8 +176,13 @@ class TestSolveVerifyOracle:
         out = capsys.readouterr().out
         assert "proven optimal" in out
 
-    def test_oracle_limit_reports_unproven(self, tmp_path, capsys):
-        inst_path = self.make_coptw(tmp_path)
+    def test_oracle_limit_reports_unproven(self, tmp_path, capsys, data_dir):
+        # the heuristic's solution proves the six-customer file at the root;
+        # this row still takes thousands of nodes from it
+        inst_path = tmp_path / "r100_1.coptw"
+        assert main(["augment", str(data_dir / "r100_1.txt"), "-o", str(inst_path),
+                     "--seed", "1", "-n", "10", "-P", "4"]) == 0
+        capsys.readouterr()
         assert main(["oracle", str(inst_path), "--node-limit", "3"]) == 0
         assert "not proven" in capsys.readouterr().out
 

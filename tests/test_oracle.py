@@ -5,7 +5,9 @@ import pytest
 
 from coptw import (
     OracleConfig,
+    Solution,
     check_solution,
+    empty_solution,
     exact_solve,
     objective,
     optimality_gap,
@@ -52,12 +54,15 @@ class TestExactSolve:
         assert check_solution(inst, res.best_solution).feasible
 
     def test_matches_bruteforce_enumeration(self):
+        # both starts: from the heuristic's solution and cold
         rng = random.Random(500)
         for _ in range(8):
             inst = random_instance(rng, rng.randint(3, 6), team_size=2, t_max=300.0)
-            res = exact_solve(inst, OracleConfig(time_limit=60.0))
-            assert res.proven_optimal
-            assert res.best_score == best_score_bruteforce(inst)
+            reference = best_score_bruteforce(inst)
+            for incumbent in (None, empty_solution(inst.team_size)):
+                res = exact_solve(inst, OracleConfig(time_limit=60.0), incumbent)
+                assert res.proven_optimal
+                assert res.best_score == reference
 
     def test_bound_drops_customer_that_cannot_return(self):
         # customer 2's window is reachable from the depot and from customer
@@ -155,10 +160,12 @@ class TestExactSolve:
         for _ in range(40):
             inst = random_instance(rng, rng.randint(4, 6), team_size=rng.randint(2, 3),
                                    t_max=150.0, window=20.0)
-            res = exact_solve(inst)
-            assert res.proven_optimal
-            assert res.best_score == best_score_bruteforce(inst)
-            assert check_solution(inst, res.best_solution).feasible
+            reference = best_score_bruteforce(inst)
+            for incumbent in (None, empty_solution(inst.team_size)):
+                res = exact_solve(inst, incumbent=incumbent)
+                assert res.proven_optimal
+                assert res.best_score == reference
+                assert check_solution(inst, res.best_solution).feasible
         assert fired > 0
 
     def test_incumbent_consistency(self):
@@ -180,13 +187,81 @@ class TestExactSolve:
         assert check_solution(inst, res.best_solution).feasible
 
     def test_heuristic_never_beats_proven_optimum(self):
+        # cold: an oracle seeded by the heuristic would check it against itself
         rng = random.Random(504)
         for _ in range(6):
             inst = random_instance(rng, rng.randint(4, 6), team_size=2, t_max=300.0)
-            opt = exact_solve(inst, OracleConfig(time_limit=60.0))
+            opt = exact_solve(inst, OracleConfig(time_limit=60.0),
+                              incumbent=empty_solution(inst.team_size))
             assert opt.proven_optimal
             heur = solve(inst)
             assert heur.best_score <= opt.best_score
+
+    @pytest.mark.parametrize("routes", [
+        pytest.param([[2], []], id="late-window"),
+        pytest.param([[1]], id="route-count"),
+    ])
+    def test_infeasible_incumbent_rejected(self, routes):
+        # customer 2 closes at 10, before anyone can get there
+        inst = make_instance(
+            [(5.0, 0.0, 2.0, 17.0, 0.0, 50.0, 1), (50.0, 0.0, 1.0, 5.0, 0.0, 10.0, 1)],
+            team_size=2,
+            t_max=200.0,
+        )
+        with pytest.raises(ValueError, match="incumbent is infeasible"):
+            exact_solve(inst, incumbent=Solution(routes=routes))
+
+    def test_worse_incumbent_is_beaten(self):
+        inst = make_instance(
+            [
+                (6.0, 0.0, 4.0, 5.0, 0.0, 100.0, 1),
+                (8.0, 0.0, 1.0, 9.0, 0.0, 100.0, 2),
+            ],
+            team_size=2,
+            t_max=100.0,
+        )
+        res = exact_solve(inst, incumbent=Solution(routes=[[1], []]))
+        assert res.proven_optimal
+        assert res.best_score == 14.0
+        assert check_solution(inst, res.best_solution).feasible
+
+    def test_optimal_incumbent_comes_back_proven(self):
+        rng = random.Random(505)
+        for _ in range(4):
+            inst = random_instance(rng, rng.randint(4, 6), team_size=2, t_max=300.0)
+            cold = exact_solve(inst, incumbent=empty_solution(inst.team_size))
+            res = exact_solve(inst, incumbent=cold.best_solution)
+            assert res.proven_optimal
+            assert res.best_score == cold.best_score
+            assert res.best_solution.routes == cold.best_solution.routes
+            assert res.explored_nodes <= cold.explored_nodes
+
+    def test_default_incumbent_is_the_heuristic_solution(self):
+        # the search keeps its incumbent on a tie, so wherever the heuristic
+        # is optimal its routes come back, in no more nodes than cold
+        rng = random.Random(506)
+        for _ in range(4):
+            inst = random_instance(rng, 6, team_size=3, t_max=300.0)
+            heur = solve(inst)
+            cold = exact_solve(inst, incumbent=empty_solution(inst.team_size))
+            assert heur.best_score == cold.best_score
+            res = exact_solve(inst)
+            assert res.best_score == heur.best_score
+            assert ([r for r in res.best_solution.routes if r]
+                    == [r for r in heur.best_solution.routes if r])
+            assert res.explored_nodes <= cold.explored_nodes
+
+    @pytest.mark.parametrize("seed, n, team_size, score, nodes", [
+        (520, 6, 2, 56.0, 93),
+        (521, 7, 3, 223.0, 1375),
+        (523, 8, 3, 137.0, 1548),
+    ])
+    def test_empty_incumbent_is_the_cold_search(self, seed, n, team_size, score, nodes):
+        # node counts of the search before it took an incumbent
+        inst = random_instance(random.Random(seed), n, team_size=team_size)
+        res = exact_solve(inst, incumbent=empty_solution(team_size))
+        assert res.proven_optimal
+        assert (res.best_score, res.explored_nodes) == (score, nodes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

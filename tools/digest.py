@@ -19,7 +19,9 @@ benchmark's time limit per row.
 For ``oracle`` a second line gives the sha256 of the same records without
 ``explored_nodes``: a change to the search's bound that only prunes
 subtrees unable to beat the incumbent keeps this line and changes the
-first.
+first.  ``exact_solve`` starts from the heuristic's solution and returns its
+routes wherever it is optimal, so a change to the heuristic can move both
+oracle lines; compare the oracle's scores and proofs for such a change.
 """
 
 from __future__ import annotations
