@@ -6,11 +6,13 @@ team is homogeneous, so every multiset of routes is explored exactly once
 instead of once per member permutation.  Children are pruned when the
 appended visit admits no feasible cooperative schedule (start times only
 ever grow, so an infeasible prefix can never recover) and when the residual
-reward bound cannot beat the incumbent.  The bound is a fractional knapsack
-of the remaining route time over the customers that can still be
-completed: each unopened route may add one visit to a customer, and the
-open route one more only while its tail can still reach the customer by
-its closing time.
+reward bound cannot beat the incumbent.  The bound is the score plus the
+reward of every customer that can still be completed: each unopened route
+may add one visit to a customer, and the open route one more only while
+its tail can still reach the customer by its closing time.  No completion
+collects more.  The bound has no route-time term: a fractional knapsack
+over the remaining route time, tried on top, was needed for only 24 of the
+304,868 nodes pruned on the 16 benchmark rows (requirement seed 1).
 
 The search starts from a verified incumbent, by default the savings
 heuristic's best solution: the bound cuts from the root on, and the
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import build_arc_set, build_distance_matrix
 from .heuristic import solve
@@ -76,6 +76,7 @@ class _Search:
         self.tt = TravelTimes(instance, d)
         arcs = build_arc_set(instance, d)
         self.feas = arcs.feasible.tolist()
+        self.instance = instance
         self.config = config
         self.team_size = instance.team_size
         self.req = self.tt.req
@@ -90,26 +91,6 @@ class _Search:
         # dropping it tightens the bound and stays admissible
         col_ok = arcs.feasible.any(axis=0)
         self.bound_candidates = [v for v in self.branch_order if col_ok[v]]
-        # per-visit relaxation: each member visit of v consumes at least
-        # its service plus the cheapest possible approach leg, and pays
-        # reward/required proportionally; packing those items greedily
-        # into the remaining route time is a fractional knapsack, an
-        # upper bound on any completion.  Only customers that can still
-        # get their missing visits enter it: one per unopened route, plus
-        # one from the open route if its tail reaches v in time
-        tmat = np.array(self.tt.t)
-        np.fill_diagonal(tmat, np.inf)
-        approach = tmat.min(axis=0)
-        self.visit_cost = [self.tt.dur[v] + float(approach[v]) for v in range(n)]
-        self.visit_value = [
-            self.reward[v] / self.req[v] if self.req[v] else 0.0 for v in range(n)
-        ]
-        self.bound_candidates.sort(
-            key=lambda v: (
-                -self.visit_value[v] / max(self.visit_cost[v], 1e-300),
-                v,
-            )
-        )
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before
         # its current tail does, up to the rounding this margin absorbs
@@ -133,6 +114,7 @@ class _Search:
         open_set = self.open_set
         count = self.count
         req = self.req
+        reward = self.reward
         open_route = self.routes[-1]
         if open_route:
             last = open_route[-1]
@@ -142,9 +124,7 @@ class _Search:
             depart = 0.0
         t_last = self.tt.t[last]
         reach_close = self.reach_close
-        capacity = max(0.0, self.tt.t_max - depart) + unopened * self.tt.t_max
-        plain = 0.0
-        packed = 0.0
+        completable = 0.0
         for v in self.bound_candidates:
             c = count[v]
             r = req[v]
@@ -155,18 +135,8 @@ class _Search:
                     c + unopened + 1 < r or v in open_set
                     or depart + t_last[v] > reach_close[v]):
                 continue
-            plain += self.reward[v]
-            # completing v still pays its banked share plus the rest if the
-            # remaining visits fit into the remaining route time
-            packed += self.visit_value[v] * c
-            need_time = (r - c) * self.visit_cost[v]
-            if need_time <= capacity:
-                packed += self.visit_value[v] * (r - c)
-                capacity -= need_time
-            elif self.visit_cost[v] > 0.0:
-                packed += self.visit_value[v] * (capacity / self.visit_cost[v])
-                capacity = 0.0
-        return self.score + min(plain, packed)
+            completable += reward[v]
+        return self.score + completable
 
     def _record_incumbent(self) -> None:
         if self.score <= self.best_score:
@@ -231,12 +201,12 @@ class _Search:
             if feasible:
                 self.open_set.add(v)
                 self.count[v] += 1
-                served_now = self.count[v] == self.req[v]
-                if served_now:
-                    self.score += self.reward[v]
+                # restored by assignment: `-=` drifts for non-integer rewards
+                score = self.score
+                if self.count[v] == self.req[v]:
+                    self.score = score + self.reward[v]
                 self._extend(prev, child_gt)
-                if served_now:
-                    self.score -= self.reward[v]
+                self.score = score
                 self.count[v] -= 1
                 self.open_set.remove(v)
                 if s_save is not None:
@@ -262,9 +232,12 @@ class _Search:
         routes = [list(r) for r in self.best_routes]
         while len(routes) < self.team_size:
             routes.append([])
+        best = Solution(routes=routes)
+        # the running score sums rewards in search order; report the
+        # objective's sum, so a caller comparing scores sees one float
         return OracleResult(
-            best_score=self.best_score,
-            best_solution=Solution(routes=routes),
+            best_score=objective(self.instance, best),
+            best_solution=best,
             proven_optimal=self.complete,
             explored_nodes=self.nodes,
         )
@@ -279,13 +252,14 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
     passes it and saves the second solve.  The incumbent must pass
     check_solution, else ValueError.  The search only replaces it with a
     strictly better solution, so on a tie its routes come back.  Passing
-    `empty_solution(instance.team_size)` runs the cold search.
+    `empty_solution(instance.team_size)` runs the cold search.  The
+    reported score is `objective` of the reported routes.
 
     Measured on a 2-vCPU Xeon under Python 3.11: the 16 benchmark rows at
     10-12 customers and 3-4 members (requirement seed 1) prove in 811 to
-    135k nodes each, 477k in all (711k cold), about 4 s for all 16 with
+    135k nodes each, 477k in all (711k cold), about 2.7 s for all 16 with
     their seed solves; c100_1 at 12 customers and 4 members is still
-    unproven after 25 s and 4.2M nodes, though the heuristic's 298 is its
+    unproven after 25 s and 6.2M nodes, though the heuristic's 298 is its
     optimum.  When the node or time limit stops the search, the incumbent
     is reported with proven_optimal=False.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -108,6 +109,29 @@ class TestExactSolve:
         search.score = 6.0
         assert search._bound() == 6.0  # none left: 2 is dropped
 
+    def test_bound_has_no_time_capacity(self):
+        # the open route [1] leaves at 87 and reaches no other customer by
+        # its close; the unopened route still counts all three, although
+        # their 40-unit services do not fit into the 113 units of route
+        # time left
+        inst = make_instance(
+            [
+                (10.0, 0.0, 2.0, 1.0, 0.0, 100.0, 1),
+                (0.0, 10.0, 40.0, 5.0, 0.0, 100.0, 1),
+                (-10.0, 0.0, 40.0, 6.0, 0.0, 100.0, 1),
+                (0.0, -10.0, 40.0, 7.0, 0.0, 100.0, 1),
+            ],
+            team_size=2,
+            t_max=100.0,
+        )
+        search = _Search(inst, OracleConfig())
+        search.routes = [[1]]
+        search.open_set = {1}
+        search.count[1] = 1
+        search.s[1] = 85.0
+        search.score = 1.0
+        assert search._bound() == 1.0 + 5.0 + 6.0 + 7.0
+
     def test_reach_cut_tolerates_rounding(self):
         # a, b, c collinear; c closes at the float arrival a -> b -> c,
         # which rounds below the direct a -> c arrival, so only the slack
@@ -177,6 +201,23 @@ class TestExactSolve:
             assert report.feasible, report.violations
             assert objective(inst, res.best_solution) == res.best_score
             assert len(res.best_solution.routes) == inst.team_size
+
+    def test_score_is_the_objective_with_fractional_rewards(self):
+        # summing 0.1/0.2/0.3/0.7 in search order differs from the
+        # objective's sum in the last bits; the reported score is the
+        # objective of the reported routes, from either start
+        rng = random.Random(530)
+        for _ in range(20):
+            base = random_instance(rng, rng.randint(4, 6), team_size=2, t_max=300.0)
+            inst = dataclasses.replace(base, vertices=[
+                dataclasses.replace(v, reward=rng.choice((0.1, 0.2, 0.3, 0.7))) if v.id else v
+                for v in base.vertices])
+            reference = best_score_bruteforce(inst)
+            for incumbent in (None, empty_solution(inst.team_size)):
+                res = exact_solve(inst, OracleConfig(time_limit=60.0), incumbent)
+                assert res.proven_optimal
+                assert res.best_score == objective(inst, res.best_solution)
+                assert abs(res.best_score - reference) <= 1e-9
 
     def test_node_limit_returns_incumbent_unproven(self):
         rng = random.Random(503)
