@@ -141,11 +141,15 @@ def run_bench(
     # a bad limit, size, team size or r_max is an input error for the whole
     # run; inside the loop it would only be recorded as a failed row, once
     # per row.  A size above one file's customer count stays a row failure,
-    # since the files differ in size.
+    # since the files differ in size, and so does a team size above the sum
+    # of one row's drawn requirements (augment rejects it).
     OracleConfig(time_limit=oracle_limit)
     for name, values in (("sizes", sizes), ("team sizes", members), ("r_max", [r_max])):
         if min(values) < 1:
             raise ValueError(f"{name} must be at least 1, got {min(values)}")
+    if max(members) > max(sizes) * r_max:
+        raise ValueError(f"team size {max(members)} exceeds {max(sizes) * r_max}, "
+                         "the largest size times r_max")
     rows: list[BenchRow] = []
     for path in sorted(files):
         set_name = set_name_of(path)

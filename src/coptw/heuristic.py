@@ -9,6 +9,18 @@ schedule stays feasible for every visit already placed; nothing is ever
 ripped out to make room.  After the pair list is exhausted, vertices that
 never reached their requirement are removed from all routes.
 
+A vertex v that failed is not tried again before that removal.  Until
+then the routes only gain visits, and a gained visit never lowers a start:
+the detour through it costs at least its service time, which dwarfs the
+rounding of the triangle inequality.  Every slot of the grown routes lies
+between two visits u and w (the depot counts) that were adjacent on its
+route when v failed, so placing v there gives the routing that was
+rejected then, v between u and w, plus visits.  Its starts are no lower,
+so the late start, late return or circular wait that rejected it remains.
+Where some customer's service time is too short for this
+(TravelTimes.monotone), a vertex is retried once anything was placed
+since it failed.
+
 The improvement pass then scans the unvisited vertices (highest reward
 first) and tries to insert each one outright; failing that, it places the
 visits at the cheapest arc-valid positions regardless of the schedule and,
@@ -59,9 +71,16 @@ class _Workspace:
     0 for the depot.  `from_solution` builds it from the routes; `_commit`,
     `force_place` and `drop` keep it in step at O(req) per visit.  `s` is
     replaced, never changed in place, so a move can keep the old list to
-    undo itself.  `version` increments on every committed change;
-    per-vertex failure versions let the pair loop skip re-attempting a
-    vertex that already failed against the identical route state.
+    undo itself.
+
+    `version` increments on every committed change, and
+    `fail_version[v]` is the version at which top_up last failed on v.  A
+    retry at the same version fails at once.  So does any retry while
+    `failures_final` holds: it starts as TravelTimes.monotone, and while no
+    visit was removed the routes have only grown since the failure, so
+    every slot fails again (module docstring).  The first `drop` clears it
+    for good, since a removal can lower starts, and `from_solution` starts
+    without it; from then on a retry after any change tries every slot.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
@@ -76,6 +95,7 @@ class _Workspace:
         self.s = list(self.tt.open)
         self.version = 0
         self.fail_version = [-1] * instance.n_vertices
+        self.failures_final = self.tt.monotone
 
     @classmethod
     def from_solution(cls, instance: Instance, arcs: ArcSet, d: np.ndarray,
@@ -88,6 +108,7 @@ class _Workspace:
             raise ValueError(f"input solution has no feasible schedule: {status}")
         ws.s = s
         ws._index()
+        ws.failures_final = False
         return ws
 
     def to_solution(self) -> Solution:
@@ -150,6 +171,7 @@ class _Workspace:
         self.links[v] = []
         self.count[v] = 0
         self.version += 1  # invalidate failure caches
+        self.failures_final = False  # starts may fall now
 
     # -- candidate generation -------------------------------------------------
 
@@ -234,7 +256,8 @@ class _Workspace:
             return False
         if self.count[v] >= r:
             return True
-        if self.fail_version[v] == self.version:
+        failed = self.fail_version[v]
+        if failed == self.version or failed >= 0 and self.failures_final:
             return False
         while self.count[v] < r:
             if not self.try_place_one(v):

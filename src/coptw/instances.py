@@ -136,6 +136,18 @@ def _validate_vertices(vertices: list[Vertex]) -> None:
             raise ValidationError("depot reward must be 0")
 
 
+def _check_team_size(instance: Instance) -> Instance:
+    """Reject a team larger than max(1, the sum of the requirements): the
+    extra members could never be needed, and the solvers allocate per
+    member.  read_coptw and augment check it; Instance itself does not."""
+    limit = max(1, sum(instance.requirements))
+    if instance.team_size > limit:
+        raise ValidationError(
+            f"team size {instance.team_size} exceeds {limit}, the sum of the requirements"
+        )
+    return instance
+
+
 def _data_rows(text: str):
     """Yield (line_number, fields) for non-comment lines of a benchmark file."""
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -285,19 +297,20 @@ def augment(
     {1, ..., r_max} using SplitMix64 keyed on `seed`; the k-th customer in
     file order consumes the k-th output, so a truncated instance receives the
     same values as the full one for the customers they share.  Nothing else
-    about the benchmark data is altered.
+    about the benchmark data is altered.  A team size above the sum of the
+    requirements raises ValidationError.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     draws = splitmix64(seed, raw.n_customers)
     requirements = [0] + [1 + (u % r_max) for u in draws]
-    return Instance(
+    return _check_team_size(Instance(
         vertices=[dataclasses.replace(v) for v in raw.vertices],
         requirements=requirements,
         team_size=team_size,
         t_max=raw.t_max,
         velocity=velocity,
-    )
+    ))
 
 
 def write_coptw(instance: Instance) -> str:
@@ -314,7 +327,8 @@ def write_coptw(instance: Instance) -> str:
 
 
 def read_coptw(text: str) -> Instance:
-    """Parse the normalized COPTW format; inverse of write_coptw."""
+    """Parse the normalized COPTW format; inverse of write_coptw.  A team
+    size above the sum of the requirements raises ValidationError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty COPTW file")
@@ -352,10 +366,10 @@ def read_coptw(text: str) -> Instance:
             raise ParseError(f"vertex row {i}: expected id {i}, got {vid}")
         vertices.append(Vertex(vid, x, y, duration, reward, open_, close))
         requirements.append(req)
-    return Instance(
+    return _check_team_size(Instance(
         vertices=vertices,
         requirements=requirements,
         team_size=team_size,
         t_max=t_max,
         velocity=velocity,
-    )
+    ))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from coptw import read_coptw, write_coptw
+from coptw import augment, heuristic, oracle, parse_benchmark, read_coptw, write_coptw
 from coptw.bench import CSV_HEADER
 from coptw.cli import main
 
@@ -289,6 +289,50 @@ class TestBenchCommand:
         indir = tmp_path / "empty"
         indir.mkdir()
         assert main(["bench", str(indir), "-o", str(tmp_path / "x.csv")]) == 2
+
+
+class TestHugeTeamSize:
+    """A team size far above the sum of the requirements exits 2 before
+    any solver builds its per-member lists."""
+
+    HUGE = str(10**12)
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-member allocation was reached")
+
+        monkeypatch.setattr(heuristic._Workspace, "__init__", refuse)
+        monkeypatch.setattr(oracle._Search, "__init__", refuse)
+
+    def test_augment_exit_2(self, tmp_path, capsys):
+        src, _ = write_inputs(tmp_path)
+        out = tmp_path / "huge.coptw"
+        assert main(["augment", str(src), "-o", str(out), "-P", self.HUGE]) == 2
+        assert not out.exists()
+        assert f"team size {self.HUGE} exceeds" in capsys.readouterr().err
+
+    def test_coptw_header_exit_2(self, tmp_path, capsys):
+        inst = augment(parse_benchmark(SOLOMON_SMALL), 1, team_size=2)
+        lines = write_coptw(inst).splitlines()
+        n, _, t_max, velocity = lines[1].split()
+        lines[1] = f"{n} {self.HUGE} {t_max} {velocity}"
+        inst_path = tmp_path / "huge.coptw"
+        inst_path.write_text("\n".join(lines) + "\n")
+        for command in ("solve", "oracle"):
+            assert main([command, str(inst_path)]) == 2
+            assert f"team size {self.HUGE} exceeds" in capsys.readouterr().err
+        assert not inst_path.with_suffix(".sol").exists()
+
+    def test_bench_exit_2(self, tmp_path, capsys):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        (indir / "s100_1.txt").write_text(SOLOMON_SMALL)
+        csv_path = tmp_path / "out.csv"
+        assert main(["bench", str(indir), "-o", str(csv_path), "--sizes", "3,4",
+                     "--members", f"2,{self.HUGE}"]) == 2
+        assert not csv_path.exists()
+        assert f"team size {self.HUGE} exceeds 12" in capsys.readouterr().err
 
 
 def test_python_dash_m_entry(tmp_path):

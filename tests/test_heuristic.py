@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coptw import (
     SavingParams,
@@ -20,6 +22,7 @@ from coptw import (
 )
 from coptw import heuristic, savings
 from coptw.heuristic import _pool_size, _Workspace
+from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan, TravelTimes
 
 from conftest import make_instance, random_instance
@@ -235,6 +238,145 @@ class TestConstruct:
             assert construct(inst, arcs, d, params, tt=tt, terms=terms) == construct(
                 inst, arcs, d, params
             )
+
+
+def walk(ws, inst, d, arcs, params):
+    """construct's top-up walk on a given workspace, without the clean-up."""
+    for i, j in calc_saving_pairs(inst, d, arcs, params):
+        ws.top_up(i)
+        ws.top_up(j)
+    for v in sorted(range(1, inst.n_vertices), key=lambda u: (-inst.vertices[u].reward, u)):
+        ws.top_up(v)
+
+
+@pytest.fixture
+def retries(monkeypatch):
+    """Every try_place_one call as (final, retry, placed): `final` is the
+    workspace's failures_final, `retry` whether v had failed on it before."""
+    calls = []
+    try_place_one = _Workspace.try_place_one
+
+    def recorded(ws, v):
+        final, retry = ws.failures_final, ws.fail_version[v] >= 0
+        placed = try_place_one(ws, v)
+        calls.append((final, retry, placed))
+        return placed
+
+    monkeypatch.setattr(_Workspace, "try_place_one", recorded)
+    return calls
+
+
+class TestRetry:
+    """While the routes only grow and every service time clears the
+    rounding margin, a vertex that failed is not tried again; otherwise it
+    is retried once anything changed."""
+
+    def test_failure_is_final_while_routes_grow(self):
+        # a full-retry workspace (monotone forced off) must reach the same
+        # routes.  Before a removal none of its retries succeeds; after one
+        # some do, so the removal has to end the rule.
+        counts = {"grow": [0, 0], "regrow": [0, 0]}  # full retries, successes
+        phase = ["grow"]
+        try_place_one = _Workspace.try_place_one
+
+        def counted(ws, v):
+            retry = ws.fail_version[v] >= 0
+            placed = try_place_one(ws, v)
+            if retry and not ws.tt.monotone:
+                counts[phase[0]][0] += 1
+                counts[phase[0]][1] += placed
+            return placed
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            n=st.integers(4, 14),
+            team_size=st.integers(1, 4),
+            window=st.sampled_from([10.0, 20.0, 60.0, 400.0]),
+            service=st.sampled_from([0.5, 3.0, 8.0]),
+        )
+        def check(seed, n, team_size, window, service):
+            rng = random.Random(seed)
+            inst = random_instance(rng, n, team_size=team_size, r_max=team_size,
+                                   window=window, service=service)
+            d, arcs = prepared(inst)
+            tt = TravelTimes(inst, d)
+            full = TravelTimes(inst, d)
+            full.monotone = False
+            assert tt.monotone
+            for params in rng.sample(parameter_grid(), 4):
+                phase[0] = "grow"
+                assert construct(inst, arcs, d, params, tt=tt) == construct(
+                    inst, arcs, d, params, tt=full)
+                fast, slow = _Workspace(inst, arcs, d, tt), _Workspace(inst, arcs, d, full)
+                for ws in (fast, slow):
+                    walk(ws, inst, d, arcs, params)
+                assert fast.routes == slow.routes
+                served = sorted({v for route in fast.routes for v in route})
+                doomed = set(rng.sample(served, min(2, len(served))))
+                phase[0] = "regrow"
+                for ws in (fast, slow):
+                    ws.remove_vertices(doomed)
+                    walk(ws, inst, d, arcs, params)
+                assert fast.routes == slow.routes
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Workspace, "try_place_one", counted)
+            check()
+        assert counts["grow"][0] > 0 and counts["grow"][1] == 0, counts
+        assert counts["regrow"][1] > 0, counts
+
+    @pytest.mark.parametrize("service, monotone", [(0.0, False), (1e-12, False), (1e-6, True)])
+    def test_monotone_needs_service_above_margin(self, service, monotone):
+        # the margin is 1e-9 * (T_max + the longest travel time) = 1e-9 * 105
+        inst = make_instance([(3.0, 4.0, service, 5.0, 0.0, 100.0, 1),
+                              (0.0, 1.0, 2.0, 5.0, 0.0, 100.0, 1)], t_max=100.0)
+        assert TravelTimes(inst).monotone is monotone
+        assert TravelTimes(make_instance([], t_max=100.0)).monotone
+
+    def test_zero_service_retries(self, retries):
+        # a customer without service time, here two coincident ones, voids
+        # the margin: a failed vertex is tried again after a change
+        rng = random.Random(12)
+        customers = [(10.0, 0.0, 0.0, 5.0, 0.0, 50.0, 2), (10.0, 0.0, 0.0, 5.0, 12.0, 50.0, 2)]
+        for _ in range(10):
+            inst = random_instance(rng, 10, team_size=3, window=20.0)
+            customers += [(v.x, v.y, v.duration, v.reward, v.open, v.close, r)
+                          for v, r in zip(inst.vertices[1:], inst.requirements[1:])]
+        inst = make_instance(customers, team_size=3, t_max=400.0)
+        d, arcs = prepared(inst)
+        assert not _Workspace(inst, arcs, d).failures_final
+        for params in parameter_grid()[:6]:
+            construct(inst, arcs, d, params)
+        assert any(retry for _, retry, _ in retries)
+        assert not any(final for final, _, _ in retries)
+
+    def test_removal_and_from_solution_retry(self, data_dir, retries):
+        inst = desk_row(data_dir)
+        d, arcs = prepared(inst)
+        params = parameter_grid()[0]
+        ws = _Workspace(inst, arcs, d)
+        assert ws.failures_final
+        walk(ws, inst, d, arcs, params)
+        assert max(ws.fail_version) >= 0
+        assert not any(retry for _, retry, _ in retries)
+        ws.remove_vertices({next(v for route in ws.routes for v in route)})
+        assert not ws.failures_final
+        start = len(retries)
+        walk(ws, inst, d, arcs, params)
+        assert any(retry for _, retry, _ in retries[start:])
+        # rebuilt without one served vertex x: the vertices that fail now
+        # are tried again once x is back
+        x = next(v for route in ws.routes for v in route)
+        rest = Solution([[v for v in route if v != x] for route in ws.routes])
+        again = _Workspace.from_solution(inst, arcs, d, rest)
+        assert not again.failures_final
+        failed = [v for v in range(1, inst.n_vertices) if v != x and not again.top_up(v)]
+        assert failed and again.top_up(x)
+        start = len(retries)
+        for v in failed:
+            again.top_up(v)
+        assert retries[start:] and all(retry and not final for final, retry, _ in retries[start:])
 
 
 class TestImprove:

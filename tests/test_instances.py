@@ -229,6 +229,22 @@ class TestInstanceInvariants:
         with pytest.raises(ValidationError, match="velocity"):
             read_coptw(text)
 
+    def test_team_size_above_requirement_sum_rejected(self):
+        # members beyond the sum of the requirements are never needed; the
+        # readers reject them before any solver allocates one list each
+        raw = parse_solomon(SOLOMON_SAMPLE)
+        inst = augment(raw, seed=1, r_max=1, team_size=4)
+        assert read_coptw(write_coptw(inst)) == inst
+        with pytest.raises(ValidationError, match="team size 5 exceeds 4"):
+            augment(raw, seed=1, r_max=1, team_size=5)
+        text = write_coptw(inst).replace("\n5 4 ", "\n5 5 ", 1)
+        with pytest.raises(ValidationError, match="team size 5 exceeds 4"):
+            read_coptw(text)
+        depot_only = "COPTW 1\n1 {} 10.0 1.0\n0 0.0 0.0 0.0 0.0 0.0 10.0 0\n"
+        assert read_coptw(depot_only.format(1)).team_size == 1
+        with pytest.raises(ValidationError, match="team size 2 exceeds 1"):
+            read_coptw(depot_only.format(2))
+
     def test_nonfinite_coordinates_rejected(self):
         text = SOLOMON_SAMPLE.replace("45.0 68.0", f"{math.inf} 68.0")
         with pytest.raises(ValidationError):
