@@ -14,7 +14,6 @@ from pathlib import Path
 from coptw import (
     SavingParams,
     augment,
-    build_arc_set,
     build_distance_matrix,
     calc_saving_pairs,
     check_solution,
@@ -24,6 +23,7 @@ from coptw import (
     objective,
     parameter_grid,
     parse_benchmark,
+    prepare,
     saving_value,
     solve,
     truncate,
@@ -35,13 +35,15 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "desk"
 def main():
     raw = parse_benchmark((DATA / "pr11_1.txt").read_text())
     inst = augment(truncate(raw, 16), seed=2, r_max=3, team_size=3)
+    # distances, arcs, travel times and saving terms, built once for every
+    # construct and improve call on this instance
+    prep = prepare(inst)
     d = build_distance_matrix(inst)
-    arcs = build_arc_set(inst, d)
     d_max, gamma_bar = float(d.max()), mean_customer_reward(inst)
 
     for params in (SavingParams(0.0, 0.0, 0.0), SavingParams(1.4, 0.7, 3.5)):
         # the pair list is an order only; saving_value gives each pair's value
-        pairs = calc_saving_pairs(inst, d, arcs, params)
+        pairs = calc_saving_pairs(prep.terms, params)
         top = ", ".join(
             f"({i},{j})={saving_value(i, j, inst, d, params, d_max, gamma_bar):.2f}"
             for i, j in pairs[:4])
@@ -49,9 +51,9 @@ def main():
 
     print("\none trajectory, step by step:")
     params = SavingParams(0.7, 0.7, 1.4)
-    built = construct(inst, arcs, d, params)
+    built = construct(prep, params)
     print(f"  constructed score {objective(inst, built)}, routes {built.routes}")
-    polished = improve(inst, arcs, d, built)
+    polished = improve(prep, built)
     print(f"  after substitution pass {objective(inst, polished)}, routes {polished.routes}")
     assert check_solution(inst, polished).feasible
 

@@ -9,8 +9,8 @@ heuristic, verifies them against the full constraint set, and measures
 optimality gaps against a built-in exact solver on small instances.
 """
 
-from .geometry import ArcSet, build_arc_set, build_distance_matrix, cos_polar_angle
-from .heuristic import SolverResult, construct, improve, solve
+from .geometry import build_arc_set, build_distance_matrix, cos_polar_angle
+from .heuristic import Prepared, SolverResult, construct, improve, prepare, solve
 from .instances import (
     Instance,
     ParseError,
@@ -32,6 +32,7 @@ from .savings import (
     calc_saving_pairs,
     mean_customer_reward,
     parameter_grid,
+    saving_terms,
     saving_value,
 )
 from .scheduling import (
@@ -50,12 +51,12 @@ from .scheduling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSet",
     "FeasibilityReport",
     "Instance",
     "OracleConfig",
     "OracleResult",
     "ParseError",
+    "Prepared",
     "RawInstance",
     "SavingParams",
     "Schedule",
@@ -83,8 +84,10 @@ __all__ = [
     "parse_cordeau",
     "parse_solomon",
     "parse_solution",
+    "prepare",
     "propagate_schedule",
     "read_coptw",
+    "saving_terms",
     "saving_value",
     "solve",
     "splitmix64",

@@ -1,9 +1,9 @@
-"""Distance matrix and arc feasibility precomputation shared by the solvers."""
+"""Distance and arc-feasibility matrices as plain numpy arrays, built alike
+by the heuristic, the exact solver and the checker, and the depot angle."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +20,14 @@ def build_distance_matrix(instance: Instance) -> np.ndarray:
     return np.sqrt(dx**2 + dy**2)
 
 
-@dataclass
-class ArcSet:
-    """Boolean arc-feasibility matrix: feasible[i, j] for arc (i, j).
+def build_arc_set(instance: Instance, d: np.ndarray) -> np.ndarray:
+    """Boolean arc-feasibility matrix: entry [i, j] for arc (i, j).
 
     Arc (i, j) is feasible when a member leaving i at its earliest service
     completion o_i + a_i reaches j by c_j, and j itself still allows a return
     to the depot by the horizon.  Comparisons are exact (no epsilon) so every
     component sees the identical arc set.
     """
-
-    feasible: np.ndarray
-
-
-def build_arc_set(instance: Instance, d: np.ndarray) -> ArcSet:
     opens = np.array([v.open for v in instance.vertices])
     closes = np.array([v.close for v in instance.vertices])
     durations = np.array([v.duration for v in instance.vertices])
@@ -46,7 +40,7 @@ def build_arc_set(instance: Instance, d: np.ndarray) -> ArcSet:
     can_return = departs + t[:, 0] <= instance.t_max
     feasible = reach & can_return[None, :]
     np.fill_diagonal(feasible, False)
-    return ArcSet(feasible=feasible)
+    return feasible
 
 
 def cos_polar_angle(p_i: tuple[float, float], p_j: tuple[float, float],

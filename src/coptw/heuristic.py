@@ -33,7 +33,8 @@ same routes.  It then runs the improvement pass once per distinct
 construction, keyed by its routes, and maps the results back onto the grid,
 keeping the best score (earliest triplet wins ties).  The calls within a
 phase are independent, so they can run in parallel processes without
-changing the result.
+changing the result.  All of them read the distances, arc set, travel
+times and saving terms of one Prepared instance, built once per solve.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import ArcSet, build_arc_set, build_distance_matrix
+from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance
 from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
                       parameter_grid, saving_terms)
 from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, objective,
-                         relax_starts)
+                         relax_starts, route_faults, static_faults)
 
 
 @dataclass
@@ -62,9 +62,31 @@ class SolverResult:
     wall_time: float
 
 
+class Prepared(NamedTuple):
+    """What every construct and improve call on one instance reads: the
+    instance (for its team size), its travel times, the arc-feasibility
+    matrix and distances as nested lists, and the saving terms."""
+
+    instance: Instance
+    tt: TravelTimes
+    feas: list[list[bool]]
+    dist: list[list[float]]
+    terms: SavingTerms
+
+
+def prepare(instance: Instance) -> Prepared:
+    """Build the instance's distances, arcs, travel times and saving terms
+    once, for any number of construct and improve calls."""
+    d = build_distance_matrix(instance)
+    feasible = build_arc_set(instance, d)
+    return Prepared(instance, TravelTimes(instance, d), feasible.tolist(), d.tolist(),
+                    saving_terms(instance, d, feasible))
+
+
 class _Workspace:
     """Mutable routes, visit counts, a member index and the current
-    start-time fixed point.
+    start-time fixed point over one Prepared instance, whose lists it
+    reads and never copies.
 
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
@@ -83,26 +105,24 @@ class _Workspace:
     without it; from then on a retry after any change tries every slot.
     """
 
-    def __init__(self, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                 tt: TravelTimes | None = None):
-        self.tt = TravelTimes(instance, d) if tt is None else tt
-        self.feas = arcs.feasible.tolist()
-        self.dist = d.tolist()
-        self.team_size = instance.team_size
-        self.routes: list[list[int]] = [[] for _ in range(instance.team_size)]
-        self.links: list[list[list[int]]] = [[] for _ in range(instance.n_vertices)]
-        self.count = [0] * instance.n_vertices
+    def __init__(self, prep: Prepared):
+        self.tt = prep.tt
+        self.feas = prep.feas
+        self.dist = prep.dist
+        self.team_size = prep.instance.team_size
+        self.routes: list[list[int]] = [[] for _ in range(self.team_size)]
+        self.links: list[list[list[int]]] = [[] for _ in range(self.tt.n)]
+        self.count = [0] * self.tt.n
         self.s = list(self.tt.open)
         self.version = 0
-        self.fail_version = [-1] * instance.n_vertices
+        self.fail_version = [-1] * self.tt.n
         self.failures_final = self.tt.monotone
 
     @classmethod
-    def from_solution(cls, instance: Instance, arcs: ArcSet, d: np.ndarray,
-                      solution: Solution, tt: TravelTimes | None = None) -> "_Workspace":
-        ws = cls(instance, arcs, d, tt)
+    def from_solution(cls, prep: Prepared, solution: Solution) -> "_Workspace":
+        ws = cls(prep)
         ws.routes = [list(route) for route in solution.routes]
-        ws.count = solution.visit_counts(instance.n_vertices)
+        ws.count = solution.visit_counts(ws.tt.n)
         status, s, _, _ = relax_starts(ws.tt, ws.routes)
         if status != "ok":
             raise ValueError(f"input solution has no feasible schedule: {status}")
@@ -348,25 +368,17 @@ class _Workspace:
         self.s = s
 
 
-def construct(
-    instance: Instance,
-    arcs: ArcSet,
-    d: np.ndarray,
-    params: SavingParams,
-    tt: TravelTimes | None = None,
-    terms: SavingTerms | None = None,
-) -> Solution:
+def construct(prep: Prepared, params: SavingParams) -> Solution:
     """Build one solution by walking the saving-pair list for `params`.
 
     After the pair walk, customers that appear in no feasible pair get one
     direct top-up attempt in descending reward order; the final cleanup then
     strips every vertex left short of its requirement.  The result is always
     checker-feasible; when nothing can be placed it is the all-empty
-    solution.  `tt` and `terms`, when given, are TravelTimes(instance, d) and
-    saving_terms(instance, d, arcs), which solve builds once for all triplets.
+    solution.
     """
-    ws = _Workspace(instance, arcs, d, tt)
-    for i, j in calc_saving_pairs(instance, d, arcs, params, terms):
+    ws = _Workspace(prep)
+    for i, j in calc_saving_pairs(prep.terms, params):
         ws.top_up(i)
         ws.top_up(j)
     # vertices in no feasible pair (isolated but depot-reachable customers,
@@ -377,13 +389,7 @@ def construct(
     return ws.to_solution()
 
 
-def improve(
-    instance: Instance,
-    arcs: ArcSet,
-    d: np.ndarray,
-    solution: Solution,
-    tt: TravelTimes | None = None,
-) -> Solution:
+def improve(prep: Prepared, solution: Solution) -> Solution:
     """One substitution pass over the unvisited vertices, best reward first.
 
     Each vertex is inserted outright when possible; otherwise it is placed
@@ -391,20 +397,19 @@ def improve(
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome undoes the move
     (`_Workspace.substitute`), so the returned score never drops below the
-    input score.  `tt` is as for construct.  An input with a late start, a
-    late return or a circular wait raises ValueError.
+    input score.  An input the checker rejects raises ValueError: its first
+    route_faults() or static_faults() entry, found before any schedule, or
+    its late start, late return or circular wait.
     """
-    ws = _Workspace.from_solution(instance, arcs, d, solution, tt)
+    faults = (route_faults(prep.instance, solution.routes)
+              or static_faults(prep.instance, prep.feas, solution.routes))
+    if faults:
+        family, detail = faults[0]
+        raise ValueError(f"input solution is infeasible ({family}: {detail})")
+    ws = _Workspace.from_solution(prep, solution)
     tt = ws.tt
-    order = sorted(
-        (
-            v
-            for v in range(1, tt.n)
-            if ws.count[v] == 0 and tt.req[v] <= ws.team_size
-        ),
-        key=lambda v: (-tt.reward[v], v),
-    )
-    for v in order:
+    unvisited = [v for v in range(1, tt.n) if ws.count[v] == 0 and tt.req[v] <= ws.team_size]
+    for v in sorted(unvisited, key=lambda v: (-tt.reward[v], v)):
         ws.substitute(v)
     return ws.to_solution()
 
@@ -415,26 +420,24 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-# What every construct and improve call of one solve shares: (instance,
-# arcs, d, tt, terms).  A pool's initializer sets it once in each worker, so
-# it is shipped once per worker instead of once per task; a serial solve
-# sets it in the calling process for the length of its loop.
-_shared: tuple = ()
+# The Prepared instance every construct and improve call of one solve
+# reads.  A pool's initializer sets it once in each worker, so it is shipped
+# once per worker instead of once per task; a serial solve sets it in the
+# calling process for the length of its loop.
+_shared: Prepared | None = None
 
 
-def _share(*state) -> None:
+def _share(prep: Prepared | None) -> None:
     global _shared
-    _shared = state
+    _shared = prep
 
 
 def _construct_one(params: SavingParams) -> Solution:
-    instance, arcs, d, tt, terms = _shared
-    return construct(instance, arcs, d, params, tt, terms)
+    return construct(_shared, params)
 
 
 def _improve_one(solution: Solution) -> Solution:
-    instance, arcs, d, tt, _ = _shared
-    return improve(instance, arcs, d, solution, tt)
+    return improve(_shared, solution)
 
 
 def solve(instance: Instance, workers: int = 1) -> SolverResult:
@@ -448,21 +451,18 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
     triplet then takes the improved result of its construction, so
     `triplet_scores` has one entry per triplet and the earliest triplet
     wins ties.  With `workers` above 1 both phases run on
-    one process pool, which changes nothing but the wall time.  The
-    distances, arcs, travel times and saving terms are built once and
-    shared by every call; a pool receives them once per worker, through
-    its initializer, and each task carries only its triplet or
-    construction."""
+    one process pool, which changes nothing but the wall time.  One
+    Prepared instance is built and shared by every call; a pool receives
+    it once per worker, through its initializer, and each task carries
+    only its triplet or construction."""
     t0 = time.perf_counter()
     grid = parameter_grid()
-    d = build_distance_matrix(instance)
-    arcs = build_arc_set(instance, d)
-    state = (instance, arcs, d, TravelTimes(instance, d), saving_terms(instance, d, arcs))
+    prep = prepare(instance)
     processes = _pool_size(workers, len(grid))
     with contextlib.ExitStack() as stack:
         if processes == 1:
-            stack.callback(_share, *_shared)
-            _share(*state)
+            stack.callback(_share, _shared)
+            _share(prep)
             run = map
         else:
             # imported only here: the process machinery adds ~30 ms to every
@@ -470,7 +470,7 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=processes, initializer=_share,
-                                       initargs=state)
+                                       initargs=(prep,))
             run = stack.enter_context(pool).map
         built = list(run(_construct_one, grid))
         keys = [tuple(map(tuple, sol.routes)) for sol in built]

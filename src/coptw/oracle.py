@@ -74,8 +74,8 @@ class _Search:
     def __init__(self, instance: Instance, config: OracleConfig):
         d = build_distance_matrix(instance)
         self.tt = TravelTimes(instance, d)
-        arcs = build_arc_set(instance, d)
-        self.feas = arcs.feasible.tolist()
+        feasible = build_arc_set(instance, d)
+        self.feas = feasible.tolist()
         self.instance = instance
         self.config = config
         self.team_size = instance.team_size
@@ -89,7 +89,7 @@ class _Search:
         )
         # a customer no feasible arc enters is never appended by _extend;
         # dropping it tightens the bound and stays admissible
-        col_ok = arcs.feasible.any(axis=0)
+        col_ok = feasible.any(axis=0)
         self.bound_candidates = [v for v in self.branch_order if col_ok[v]]
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before

@@ -17,10 +17,10 @@ negative for obtuse pairs.  Note the middle term makes the saving
 asymmetric: S(i, j) != S(j, i) in general.
 
 Only the coefficients differ between triplets, so saving_terms evaluates
-everything else once per solve as numpy arrays over the arc-feasible pairs.
-calc_saving_pairs then ranks one triplet in numpy and returns only the order
-of the pairs; it keeps saving_value's float order, so sorting by saving_value
-gives the same order and equal values keep their tie order.
+everything else once per instance, as numpy arrays over the arc-feasible
+pairs (heuristic.prepare holds them).  calc_saving_pairs ranks one triplet of
+them in numpy and returns only the order; it keeps saving_value's float
+order, so sorting by saving_value gives the same order and ties keep theirs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ArcSet, cos_polar_angle
+from .geometry import cos_polar_angle
 from .instances import Instance
 
 LAMBDA_VALUES = (0.0, 0.7, 1.4)
@@ -106,12 +106,13 @@ class SavingTerms(NamedTuple):
     gamma_bar: float
 
 
-def saving_terms(instance: Instance, d: np.ndarray, arcs: ArcSet) -> SavingTerms:
-    """Evaluate the parts of saving_value that no coefficient touches."""
+def saving_terms(instance: Instance, d: np.ndarray, feasible: np.ndarray) -> SavingTerms:
+    """Evaluate the parts of saving_value that no coefficient touches, over
+    the pairs that the arc-feasibility matrix `feasible` admits."""
     d_max = float(d.max()) or 1.0  # all vertices coincide: distance terms vanish
     gamma_bar = mean_customer_reward(instance) or 1.0  # every reward is 0
-    feasible = arcs.feasible[1:, 1:] & ~np.eye(instance.n_vertices - 1, dtype=bool)
-    i, j = np.argwhere(feasible).T + 1  # row-major (i, j) order
+    pairs = feasible[1:, 1:] & ~np.eye(instance.n_vertices - 1, dtype=bool)
+    i, j = np.argwhere(pairs).T + 1  # row-major (i, j) order
     depot = instance.vertices[0]
     ax = np.array([v.x for v in instance.vertices], dtype=float) - depot.x
     ay = np.array([v.y for v in instance.vertices], dtype=float) - depot.y
@@ -127,27 +128,19 @@ def saving_terms(instance: Instance, d: np.ndarray, arcs: ArcSet) -> SavingTerms
                        d_max, gamma_bar)
 
 
-def calc_saving_pairs(
-    instance: Instance,
-    d: np.ndarray,
-    arcs: ArcSet,
-    params: SavingParams,
-    terms: SavingTerms | None = None,
-) -> list[tuple[int, int]]:
-    """All arc-feasible ordered customer pairs (i, j), best saving first.
+def calc_saving_pairs(terms: SavingTerms, params: SavingParams) -> list[tuple[int, int]]:
+    """All ordered customer pairs (i, j) of `terms`, best saving first.
 
     A pair enters the list when the arc (i, j) is traversable: a member can
     leave i at its earliest service completion and reach j's window, and j
     still allows returning to the depot by the horizon.  Only the order is
     returned; saving_value gives a pair's value.  Ties are broken by (i, j)
-    index so the list is a total, reproducible order.  `terms`, when
-    given, must be saving_terms(instance, d, arcs); solve builds it once.
+    index so the list is a total, reproducible order.
     """
-    t = saving_terms(instance, d, arcs) if terms is None else terms
     # the grouping of saving_value: (base + sweep) + reward
     value = (
-        (t.base0 - params.lambda_ * t.d_ij) / t.d_max
-        + params.mu * t.cos * t.spread / t.d_max
-    ) + params.vartheta * t.rsum / t.gamma_bar
+        (terms.base0 - params.lambda_ * terms.d_ij) / terms.d_max
+        + params.mu * terms.cos * terms.spread / terms.d_max
+    ) + params.vartheta * terms.rsum / terms.gamma_bar
     order = np.argsort(-value, kind="stable")  # stable: ties keep the (i, j) order
-    return list(zip(t.i[order].tolist(), t.j[order].tolist()))
+    return list(zip(terms.i[order].tolist(), terms.j[order].tolist()))

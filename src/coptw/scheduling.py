@@ -327,6 +327,16 @@ def bad_arcs(feas, routes: list[list[int]]):
             yield prev, 0
 
 
+def static_faults(instance: Instance, feas, routes: list[list[int]]) -> list[tuple[str, object]]:
+    """check_solution's entries that need no schedule, for routes whose ids
+    are valid: every bad_arcs() arc, then each visited vertex, ascending,
+    that fewer members visit than it requires."""
+    counts = Solution(routes).visit_counts(instance.n_vertices)
+    return [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)] + [
+        ("requirement", v) for v in sorted({v for route in routes for v in route})
+        if counts[v] < instance.requirements[v]]
+
+
 def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | ScheduleInfeasible:
     """Compute cooperative start times for a structurally valid solution.
 
@@ -375,8 +385,8 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
     (cross-route waits that never stabilize, so no start times exist),
     arc-feasibility (every traversed arc is in the arc set).  The structural
     entries come from route_faults(), the schedule entries from late() and
-    the arc entries from bad_arcs(), over one distance matrix built for the
-    travel times and the arc set alike.
+    the arc and requirement entries from static_faults(), over one distance
+    matrix built for the travel times and the arc set alike.
     """
     routes = solution.routes
     violations = route_faults(instance, routes)
@@ -392,13 +402,7 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
             vertices, members = late(tt, routes, s, returns)
             violations += [("window-close", v) for v in vertices]
             violations += [("horizon", f"route {m} returns at {returns[m]}") for m in members]
-        feas = build_arc_set(instance, d).feasible
-        violations += [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)]
-
-        counts = solution.visit_counts(instance.n_vertices)
-        req = instance.requirements
-        violations += [("requirement", v) for v in sorted({v for route in routes for v in route})
-                       if counts[v] < req[v]]
+        violations += static_faults(instance, build_arc_set(instance, d), routes)
 
     return FeasibilityReport(feasible=not violations, violations=violations)
 

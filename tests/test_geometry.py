@@ -43,8 +43,8 @@ class TestArcSet:
         d = build_distance_matrix(inst)
         arcs = build_arc_set(inst, d)
         # o_1 + a_1 + t = 20 + 5 + 20 = 45 > 30
-        assert not arcs.feasible[1, 2]
-        assert arcs.feasible[2, 1]
+        assert not arcs[1, 2]
+        assert arcs[2, 1]
 
     def test_horizon_violation_kills_column(self):
         # customer 2 cannot return to the depot by the horizon at all
@@ -58,9 +58,9 @@ class TestArcSet:
         d = build_distance_matrix(inst)
         arcs = build_arc_set(inst, d)
         # o_2 + a_2 + t_20 = 90 + 1 + 40 > 100
-        assert not arcs.feasible[0, 2]
-        assert not arcs.feasible[1, 2]
-        assert not arcs.feasible[:, 2].any()
+        assert not arcs[0, 2]
+        assert not arcs[1, 2]
+        assert not arcs[:, 2].any()
 
     def test_matches_bruteforce_predicate(self):
         rng = random.Random(11)
@@ -80,14 +80,14 @@ class TestArcSet:
             for i, vi in enumerate(inst.vertices)
         ]
         for i in range(inst.n_vertices):
-            assert arcs.feasible[i].tolist() == expected[i]
-            assert arcs.feasible[:, i].tolist() == [row[i] for row in expected]
+            assert arcs[i].tolist() == expected[i]
+            assert arcs[:, i].tolist() == [row[i] for row in expected]
 
     def test_no_self_arcs(self):
         rng = random.Random(2)
         inst = random_instance(rng, 5, team_size=2)
         arcs = build_arc_set(inst, build_distance_matrix(inst))
-        assert not any(arcs.feasible[i, i] for i in range(inst.n_vertices))
+        assert not any(arcs[i, i] for i in range(inst.n_vertices))
 
 
 class TestCosPolarAngle:

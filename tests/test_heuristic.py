@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from coptw import (
     SavingParams,
     Solution,
     augment,
-    build_arc_set,
     build_distance_matrix,
     check_solution,
     construct,
@@ -17,6 +17,7 @@ from coptw import (
     objective,
     parameter_grid,
     parse_benchmark,
+    prepare,
     solve,
     truncate,
 )
@@ -26,11 +27,6 @@ from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan, TravelTimes
 
 from conftest import make_instance, random_instance
-
-
-def prepared(inst):
-    d = build_distance_matrix(inst)
-    return d, build_arc_set(inst, d)
 
 
 def desk_row(data_dir, name="r100_1", n=11, team_size=4):
@@ -45,15 +41,15 @@ def routes_key(sol):
 
 
 def per_triplet(inst):
-    """construct + improve for every triplet, with nothing shared: the
-    one-phase grid that solve must reproduce.  Returns the (score,
-    solution) outcomes and the number of distinct constructions."""
-    d, arcs = prepared(inst)
+    """construct + improve for every triplet, each on its own Prepared
+    instance: the one-phase grid that solve must reproduce.  Returns the
+    (score, solution) outcomes and the number of distinct constructions."""
     outcomes, keys = [], set()
     for params in parameter_grid():
-        built = construct(inst, arcs, d, params)
+        prep = prepare(inst)
+        built = construct(prep, params)
         keys.add(routes_key(built))
-        sol = improve(inst, arcs, d, built)
+        sol = improve(prep, built)
         outcomes.append((objective(inst, sol), sol))
     return outcomes, len(keys)
 
@@ -68,8 +64,8 @@ class TestConstruct:
             team_size=2,
             t_max=100.0,
         )
-        d, arcs = prepared(inst)
-        sol = construct(inst, arcs, d, SavingParams(0.7, 0.7, 0.7))
+        prep = prepare(inst)
+        sol = construct(prep, SavingParams(0.7, 0.7, 0.7))
         assert sol.routes == [[], []]
         assert sol.served(inst) == set()
         assert objective(inst, sol) == 0.0
@@ -78,8 +74,8 @@ class TestConstruct:
         inst = make_instance(
             [(10.0, 0.0, 5.0, 40.0, 0.0, 90.0, 2)], team_size=3, t_max=100.0
         )
-        d, arcs = prepared(inst)
-        sol = construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0))
+        prep = prepare(inst)
+        sol = construct(prep, SavingParams(0.0, 0.0, 0.0))
         assert sol.served(inst) == {1}
         assert sum(1 for route in sol.routes if 1 in route) == 2
         assert objective(inst, sol) == 40.0
@@ -88,8 +84,8 @@ class TestConstruct:
         inst = make_instance(
             [(10.0, 0.0, 5.0, 40.0, 0.0, 90.0, 3)], team_size=2, t_max=100.0
         )
-        d, arcs = prepared(inst)
-        sol = construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0))
+        prep = prepare(inst)
+        sol = construct(prep, SavingParams(0.0, 0.0, 0.0))
         assert sol.served(inst) == set()
         assert sol.routes == [[], []]
 
@@ -97,8 +93,8 @@ class TestConstruct:
         rng = random.Random(99)
         for _ in range(15):
             inst = random_instance(rng, rng.randint(4, 10), team_size=rng.randint(2, 3))
-            d, arcs = prepared(inst)
-            sol = construct(inst, arcs, d, SavingParams(0.7, 0.7, 1.4))
+            prep = prepare(inst)
+            sol = construct(prep, SavingParams(0.7, 0.7, 1.4))
             counts = sol.visit_counts(inst.n_vertices)
             for v in range(1, inst.n_vertices):
                 assert counts[v] == 0 or counts[v] >= inst.requirements[v]
@@ -107,7 +103,7 @@ class TestConstruct:
     def test_every_commit_keeps_feasibility(self, monkeypatch):
         rng = random.Random(123)
         inst = random_instance(rng, 8, team_size=3)
-        d, arcs = prepared(inst)
+        prep = prepare(inst)
         calls = {"commit": 0, "substitute": 0}
         commit = _Workspace._commit
         substitute = _Workspace.substitute
@@ -137,8 +133,8 @@ class TestConstruct:
 
         monkeypatch.setattr(_Workspace, "_commit", checked_commit)
         monkeypatch.setattr(_Workspace, "substitute", checked_substitute)
-        sol = construct(inst, arcs, d, SavingParams(1.4, 0.7, 2.1))
-        sol = improve(inst, arcs, d, sol)
+        sol = construct(prep, SavingParams(1.4, 0.7, 2.1))
+        sol = improve(prep, sol)
         assert calls["commit"] > 0 and calls["substitute"] > 0
         assert check_solution(inst, sol).feasible
 
@@ -189,9 +185,9 @@ class TestConstruct:
             team_size = rng.randint(1, 4)
             inst = random_instance(rng, rng.randint(3, 10), team_size=team_size,
                                    r_max=team_size, window=rng.choice([20.0, 60.0]))
-            d, arcs = prepared(inst)
+            prep = prepare(inst)
             for params in (SavingParams(0.7, 0.7, 0.7), SavingParams(0.0, 1.4, 2.1)):
-                sol = improve(inst, arcs, d, construct(inst, arcs, d, params))
+                sol = improve(prep, construct(prep, params))
                 assert check_solution(inst, sol).feasible
         assert all(seen.values()), seen
 
@@ -202,9 +198,9 @@ class TestConstruct:
         dropped = 0
         for _ in range(20):
             inst = random_instance(rng, rng.randint(4, 9), team_size=rng.randint(2, 4))
-            d, arcs = prepared(inst)
-            sol = construct(inst, arcs, d, SavingParams(0.7, 0.7, 0.7))
-            ws = _Workspace.from_solution(inst, arcs, d, sol)
+            prep = prepare(inst)
+            sol = construct(prep, SavingParams(0.7, 0.7, 0.7))
+            ws = _Workspace.from_solution(prep, sol)
             for v in range(1, inst.n_vertices):
                 offered = {(m, pos) for ends in (True, False) for _, m, pos in ws._slots(v, ends)}
                 for m, route in enumerate(ws.routes):
@@ -223,29 +219,18 @@ class TestConstruct:
             team_size=1,
             t_max=100.0,
         )
-        d, arcs = prepared(inst)
-        ws = _Workspace.from_solution(inst, arcs, d, Solution(routes=[[2]]))
+        prep = prepare(inst)
+        ws = _Workspace.from_solution(prep, Solution(routes=[[2]]))
         assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
         assert ws._try_slot(0, 0, 1)[2] == 12.0
 
-    def test_precomputed_terms_change_nothing(self, data_dir):
-        raw = parse_benchmark((data_dir / "rc200_1.txt").read_text())
-        inst = augment(truncate(raw, 24), 1, 3, team_size=4)
-        d, arcs = prepared(inst)
-        tt = TravelTimes(inst, d)
-        terms = savings.saving_terms(inst, d, arcs)
-        for params in parameter_grid():
-            assert construct(inst, arcs, d, params, tt=tt, terms=terms) == construct(
-                inst, arcs, d, params
-            )
 
-
-def walk(ws, inst, d, arcs, params):
+def walk(ws, prep, params):
     """construct's top-up walk on a given workspace, without the clean-up."""
-    for i, j in calc_saving_pairs(inst, d, arcs, params):
+    for i, j in calc_saving_pairs(prep.terms, params):
         ws.top_up(i)
         ws.top_up(j)
-    for v in sorted(range(1, inst.n_vertices), key=lambda u: (-inst.vertices[u].reward, u)):
+    for v in sorted(range(1, prep.tt.n), key=lambda u: (-prep.tt.reward[u], u)):
         ws.top_up(v)
 
 
@@ -299,25 +284,24 @@ class TestRetry:
             rng = random.Random(seed)
             inst = random_instance(rng, n, team_size=team_size, r_max=team_size,
                                    window=window, service=service)
-            d, arcs = prepared(inst)
-            tt = TravelTimes(inst, d)
-            full = TravelTimes(inst, d)
+            prep = prepare(inst)
+            full = TravelTimes(inst, build_distance_matrix(inst))
             full.monotone = False
-            assert tt.monotone
+            full_prep = prep._replace(tt=full)
+            assert prep.tt.monotone
             for params in rng.sample(parameter_grid(), 4):
                 phase[0] = "grow"
-                assert construct(inst, arcs, d, params, tt=tt) == construct(
-                    inst, arcs, d, params, tt=full)
-                fast, slow = _Workspace(inst, arcs, d, tt), _Workspace(inst, arcs, d, full)
+                assert construct(prep, params) == construct(full_prep, params)
+                fast, slow = _Workspace(prep), _Workspace(full_prep)
                 for ws in (fast, slow):
-                    walk(ws, inst, d, arcs, params)
+                    walk(ws, prep, params)
                 assert fast.routes == slow.routes
                 served = sorted({v for route in fast.routes for v in route})
                 doomed = set(rng.sample(served, min(2, len(served))))
                 phase[0] = "regrow"
                 for ws in (fast, slow):
                     ws.remove_vertices(doomed)
-                    walk(ws, inst, d, arcs, params)
+                    walk(ws, prep, params)
                 assert fast.routes == slow.routes
 
         with pytest.MonkeyPatch.context() as patch:
@@ -344,32 +328,32 @@ class TestRetry:
             customers += [(v.x, v.y, v.duration, v.reward, v.open, v.close, r)
                           for v, r in zip(inst.vertices[1:], inst.requirements[1:])]
         inst = make_instance(customers, team_size=3, t_max=400.0)
-        d, arcs = prepared(inst)
-        assert not _Workspace(inst, arcs, d).failures_final
+        prep = prepare(inst)
+        assert not _Workspace(prep).failures_final
         for params in parameter_grid()[:6]:
-            construct(inst, arcs, d, params)
+            construct(prep, params)
         assert any(retry for _, retry, _ in retries)
         assert not any(final for final, _, _ in retries)
 
     def test_removal_and_from_solution_retry(self, data_dir, retries):
         inst = desk_row(data_dir)
-        d, arcs = prepared(inst)
+        prep = prepare(inst)
         params = parameter_grid()[0]
-        ws = _Workspace(inst, arcs, d)
+        ws = _Workspace(prep)
         assert ws.failures_final
-        walk(ws, inst, d, arcs, params)
+        walk(ws, prep, params)
         assert max(ws.fail_version) >= 0
         assert not any(retry for _, retry, _ in retries)
         ws.remove_vertices({next(v for route in ws.routes for v in route)})
         assert not ws.failures_final
         start = len(retries)
-        walk(ws, inst, d, arcs, params)
+        walk(ws, prep, params)
         assert any(retry for _, retry, _ in retries[start:])
         # rebuilt without one served vertex x: the vertices that fail now
         # are tried again once x is back
         x = next(v for route in ws.routes for v in route)
         rest = Solution([[v for v in route if v != x] for route in ws.routes])
-        again = _Workspace.from_solution(inst, arcs, d, rest)
+        again = _Workspace.from_solution(prep, rest)
         assert not again.failures_final
         failed = [v for v in range(1, inst.n_vertices) if v != x and not again.top_up(v)]
         assert failed and again.top_up(x)
@@ -393,19 +377,19 @@ class TestImprove:
 
     def test_substitution_move_commits(self):
         inst = self.swap_instance()
-        d, arcs = prepared(inst)
+        prep = prepare(inst)
         start = Solution(routes=[[1]])
         assert check_solution(inst, start).feasible
-        out = improve(inst, arcs, d, start)
+        out = improve(prep, start)
         assert out.served(inst) == {2}
         assert out.routes == [[2]]
         assert objective(inst, out) - objective(inst, start) == 20.0
 
     def test_worse_newcomer_rolled_back(self):
         inst = self.swap_instance(reward_in=30.0, reward_out=10.0)
-        d, arcs = prepared(inst)
+        prep = prepare(inst)
         start = Solution(routes=[[1]])
-        out = improve(inst, arcs, d, start)
+        out = improve(prep, start)
         assert out.routes == [[1]]
         assert out.served(inst) == {1}
 
@@ -418,15 +402,36 @@ class TestImprove:
             # the member is back at 40 + 5 + 40 = 85, after the horizon at 84
             ([(40.0, 0.0, 5.0, 5.0, 0.0, 100.0, 1)], 84.0, [[1]],
              ("horizon", "route 0 returns at 85.0")),
+            # on the desk row r100_1/10/P3 (customers None), where the
+            # requirements are 3 2 1 3 1 3 1 1 1 2, solve's best routing
+            # with a fourth route, a routing short of members on 2, 4 and
+            # 10, a route through the depot and an unknown vertex
+            pytest.param(None, None, [[9, 5, 4, 7], [3, 2, 10, 4], [2, 10, 4], []],
+                         ("depot-flow", "expected 3 routes, got 4"), id="four-routes"),
+            pytest.param(None, None, [[9, 5, 4, 7], [3, 2, 10, 4], []],
+                         ("requirement", 2), id="short-of-members"),
+            pytest.param(None, None, [[0, 9], [], []],
+                         ("depot-flow", "route 0 passes through the depot"), id="depot-visit"),
+            pytest.param(None, None, [[99], [], []],
+                         ("conservation", "route 0 visits unknown vertex 99"),
+                         id="unknown-vertex"),
         ],
     )
-    def test_infeasible_input_rejected(self, customers, t_max, routes, violation):
-        inst = make_instance(customers, team_size=1, t_max=t_max)
-        d, arcs = prepared(inst)
+    def test_infeasible_input_rejected(self, customers, t_max, routes, violation, data_dir):
+        if customers is None:
+            inst = desk_row(data_dir, n=10, team_size=3)
+        else:
+            inst = make_instance(customers, team_size=1, t_max=t_max)
         start = Solution(routes=routes)
-        assert check_solution(inst, start).violations == [violation]
-        with pytest.raises(ValueError):
-            improve(inst, arcs, d, start)
+        violations = check_solution(inst, start).violations
+        assert violations[0] == violation
+        assert len(violations) == (3 if violation[0] == "requirement" else 1)
+        # every fault but a late start or return is found before the
+        # schedule, and the error names it
+        family, detail = violation
+        late = family in ("window-close", "horizon")
+        with pytest.raises(ValueError, match=None if late else re.escape(f"{family}: {detail}")):
+            improve(prepare(inst), start)
 
     def test_fixed_point_when_nothing_insertable(self):
         inst = make_instance(
@@ -437,9 +442,9 @@ class TestImprove:
             team_size=1,
             t_max=100.0,
         )
-        d, arcs = prepared(inst)
+        prep = prepare(inst)
         start = Solution(routes=[[1]])
-        out = improve(inst, arcs, d, start)
+        out = improve(prep, start)
         assert out.routes == start.routes
         assert out.served(inst) == start.served(inst) == {1}
 
@@ -447,9 +452,9 @@ class TestImprove:
         rng = random.Random(17)
         for _ in range(15):
             inst = random_instance(rng, rng.randint(4, 9), team_size=rng.randint(2, 3))
-            d, arcs = prepared(inst)
-            before = construct(inst, arcs, d, SavingParams(0.7, 0.0, 0.7))
-            after = improve(inst, arcs, d, before)
+            prep = prepare(inst)
+            before = construct(prep, SavingParams(0.7, 0.0, 0.7))
+            after = improve(prep, before)
             assert objective(inst, after) >= objective(inst, before)
             assert check_solution(inst, after).feasible
 
@@ -466,8 +471,8 @@ class TestSolve:
         rng = random.Random(3)
         inst = random_instance(rng, 8, team_size=3)
         res = solve(inst)
-        d, arcs = prepared(inst)
-        sol = improve(inst, arcs, d, construct(inst, arcs, d, SavingParams(0.0, 0.0, 0.0)))
+        prep = prepare(inst)
+        sol = improve(prep, construct(prep, SavingParams(0.0, 0.0, 0.0)))
         single = objective(inst, sol)
         assert res.best_score >= single
         assert res.best_score == max(res.triplet_scores)
@@ -517,9 +522,9 @@ class TestSolve:
             built.append(routes_key(sol))
             return sol
 
-        def counted_improve(instance, arcs, d, solution, tt=None):
+        def counted_improve(prep, solution):
             improved.append(routes_key(solution))
-            return improve(instance, arcs, d, solution, tt)
+            return improve(prep, solution)
 
         monkeypatch.setattr(heuristic, "construct", counted_construct)
         monkeypatch.setattr(heuristic, "improve", counted_improve)
@@ -532,8 +537,8 @@ class TestSolve:
         # the desk row repeats constructions, so the pool's second phase
         # must map its improved results back onto the grid
         for inst in (random_instance(random.Random(42), 7, team_size=3), desk_row(data_dir)):
-            d, arcs = prepared(inst)
-            assert len({routes_key(construct(inst, arcs, d, p)) for p in parameter_grid()}) < 54
+            prep = prepare(inst)
+            assert len({routes_key(construct(prep, p)) for p in parameter_grid()}) < 54
             serial = solve(inst, workers=1)
             parallel = solve(inst, workers=2)
             assert serial.best_score == parallel.best_score
@@ -542,19 +547,33 @@ class TestSolve:
             assert serial.triplet_scores == parallel.triplet_scores
 
     def test_saving_terms_built_once_per_solve(self, monkeypatch):
-        calls = {"solve": 0, "fallback": 0}
+        calls = []
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
+        def counted(*args):
+            calls.append(args)
+            return savings.saving_terms(*args)
+
+        monkeypatch.setattr(heuristic, "saving_terms", counted)
+        solve(random_instance(random.Random(5), 7, team_size=3))
+        assert len(calls) == 1
+
+    def test_one_prepared_per_solve_shared_not_copied(self, data_dir, monkeypatch):
+        seen = []
+
+        def recorded(fn):
+            def wrapper(prep, arg):
+                seen.append(prep)
+                return fn(prep, arg)
             return wrapper
 
-        monkeypatch.setattr(heuristic, "saving_terms", counted("solve", savings.saving_terms))
-        # calc_saving_pairs rebuilds the terms itself only when none were passed
-        monkeypatch.setattr(savings, "saving_terms", counted("fallback", savings.saving_terms))
-        solve(random_instance(random.Random(5), 7, team_size=3))
-        assert calls == {"solve": 1, "fallback": 0}
+        monkeypatch.setattr(heuristic, "construct", recorded(construct))
+        monkeypatch.setattr(heuristic, "improve", recorded(improve))
+        solve(desk_row(data_dir), workers=1)
+        prep = seen[0]
+        assert len(seen) > 54 and all(other is prep for other in seen)
+        built = construct(prep, parameter_grid()[0])
+        for ws in (_Workspace(prep), _Workspace.from_solution(prep, built)):
+            assert ws.tt is prep.tt and ws.feas is prep.feas and ws.dist is prep.dist
 
     def test_pool_never_exceeds_tasks_or_cpus(self):
         cpus = os.cpu_count() or 1

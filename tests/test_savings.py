@@ -18,6 +18,12 @@ from coptw.savings import saving_terms
 from conftest import make_instance, random_instance
 
 
+def ranked_pairs(inst, params):
+    """calc_saving_pairs over the instance's own saving terms."""
+    d = build_distance_matrix(inst)
+    return calc_saving_pairs(saving_terms(inst, d, build_arc_set(inst, d)), params)
+
+
 def saving_reference(i, j, inst, d, params, d_max, gamma_bar):
     """Independent evaluation: angle via atan2, different term grouping."""
     vi, vj, dep = inst.vertices[i], inst.vertices[j], inst.vertices[0]
@@ -122,11 +128,9 @@ class TestSavingValue:
             for _ in range(6)
         ]
         inst = make_instance(customers, team_size=2, t_max=400.0)
-        d = build_distance_matrix(inst)
-        arcs = build_arc_set(inst, d)
         orders = []
         for vth in (0.0, 2.1, 3.5):
-            orders.append(calc_saving_pairs(inst, d, arcs, SavingParams(0.7, 0.7, vth)))
+            orders.append(ranked_pairs(inst, SavingParams(0.7, 0.7, vth)))
         assert orders[0] == orders[1] == orders[2]
 
 
@@ -143,7 +147,7 @@ class TestCalcSavingPairs:
         )
         d = build_distance_matrix(inst)
         params = SavingParams(0.7, 0.7, 0.7)
-        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), params)
+        pairs = ranked_pairs(inst, params)
         assert len(pairs) == 6  # n(n-1) ordered pairs
         values = [saving_value(i, j, inst, d, params, float(d.max()), 6.0) for i, j in pairs]
         assert values == sorted(values, reverse=True)
@@ -158,8 +162,7 @@ class TestCalcSavingPairs:
             team_size=2,
             t_max=1000.0,
         )
-        d = build_distance_matrix(inst)
-        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), SavingParams(0.0, 0.0, 0.0))
+        pairs = ranked_pairs(inst, SavingParams(0.0, 0.0, 0.0))
         assert all(3 not in pair for pair in pairs)
         assert len(pairs) == 2
 
@@ -167,7 +170,6 @@ class TestCalcSavingPairs:
         rng = random.Random(55)
         inst = random_instance(rng, 8, team_size=3, t_max=280.0)
         d = build_distance_matrix(inst)
-        arcs = build_arc_set(inst, d)
         params = SavingParams(0.7, 1.4, 2.1)
         d_max = float(d.max())
         gamma_bar = mean_customer_reward(inst)
@@ -187,7 +189,7 @@ class TestCalcSavingPairs:
                         (i, j, saving_value(i, j, inst, d, params, d_max, gamma_bar))
                     )
         expected.sort(key=lambda p: (-p[2], p[0], p[1]))
-        assert calc_saving_pairs(inst, d, arcs, params) == [(i, j) for i, j, _ in expected]
+        assert ranked_pairs(inst, params) == [(i, j) for i, j, _ in expected]
 
     def test_tie_break_is_index_order(self):
         # four customers at symmetric points produce equal savings
@@ -203,7 +205,7 @@ class TestCalcSavingPairs:
         )
         d = build_distance_matrix(inst)
         params = SavingParams(0.0, 0.0, 0.0)
-        pairs = calc_saving_pairs(inst, d, build_arc_set(inst, d), params)
+        pairs = ranked_pairs(inst, params)
         values = [saving_value(i, j, inst, d, params, float(d.max()), 10.0) for i, j in pairs]
         same_value = [pair for pair, value in zip(pairs, values) if value == values[0]]
         assert len(same_value) > 1
@@ -247,7 +249,7 @@ class TestRankingDifferential:
         gamma_bar = gamma_bar if gamma_bar > 0.0 else 1.0
         n = inst.n_vertices
         pairs = [(i, j) for i in range(1, n) for j in range(1, n)
-                 if i != j and arcs.feasible[i, j]]
+                 if i != j and arcs[i, j]]
         terms = saving_terms(inst, d, arcs)
         for params in parameter_grid():
             expected = sorted(
@@ -255,10 +257,9 @@ class TestRankingDifferential:
                  for i, j in pairs),
                 key=lambda p: (-p[2], p[0], p[1]),
             )
-            got = calc_saving_pairs(inst, d, arcs, params, terms)
+            got = calc_saving_pairs(terms, params)
             # floats compared with ==: equal values decide the tie order
             assert [(i, j) for i, j, _ in expected] == got
-            assert calc_saving_pairs(inst, d, arcs, params) == got
 
 
 class TestParameterGrid:

@@ -22,6 +22,7 @@ from coptw import (
     format_solution,
     objective,
     parse_solution,
+    prepare,
     propagate_schedule,
     solve,
 )
@@ -200,8 +201,7 @@ def _both_indexes(inst, routes, s, m, pos, v):
     through a heuristic workspace's maintained index and through the exact
     search's RouteScan of the routes.  Leaves the visit inserted in
     `routes` and returns both results, (maintained, scanned)."""
-    d = build_distance_matrix(inst)
-    ws = _Workspace(inst, build_arc_set(inst, d), d)
+    ws = _Workspace(prepare(inst))
     ws.routes = [list(route) for route in routes]
     ws._index()
     ws.s = s
@@ -439,7 +439,7 @@ def _hand_post_checks(inst, routes):
                 entries.append(("horizon", f"route {m} returns at {ret}"))
                 if diagnosis is None:
                     diagnosis = ScheduleInfeasible(kind="horizon", route=m, rounds=rounds)
-    feas = build_arc_set(inst, d).feasible
+    feas = build_arc_set(inst, d)
     for route in routes:
         prev = 0
         for v in route:

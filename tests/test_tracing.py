@@ -3,12 +3,15 @@ the shapes of their results."""
 
 import ast
 import importlib
+import random
+from collections import Counter
 from pathlib import Path
 
-from coptw import SavingParams, build_arc_set, build_distance_matrix, calc_saving_pairs
+from coptw import (SavingParams, build_arc_set, build_distance_matrix, calc_saving_pairs,
+                   heuristic, saving_terms, solve)
 from coptw.scheduling import TravelTimes, relax_starts
 
-from conftest import make_instance
+from conftest import make_instance, random_instance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -32,6 +35,34 @@ def test_every_wrapped_name_resolves():
         assert callable(getattr(module, attr, None)), f"coptw.{module_name}.{attr}"
 
 
+def test_heuristic_layers_called_through_module_names(monkeypatch):
+    # the tracer sees the heuristic's layers only where solve, prepare,
+    # construct and improve look them up as heuristic's globals
+    calls = Counter()
+    constructions = set()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            result = fn(*args, **kwargs)
+            if attr == "construct":
+                constructions.add(tuple(map(tuple, result.routes)))
+            return result
+        return wrapper
+
+    names = [attr for module_name, attr, _ in wrapped_names() if module_name == "heuristic"]
+    for attr in names:
+        monkeypatch.setattr(heuristic, attr, counted(attr, getattr(heuristic, attr)))
+    solve(random_instance(random.Random(7), 8, team_size=3), workers=1)
+    assert sorted(names) == sorted(["build_distance_matrix", "build_arc_set",
+                                    "calc_saving_pairs", "construct", "improve",
+                                    "relax_starts"])
+    assert calls["build_distance_matrix"] == calls["build_arc_set"] == 1
+    assert calls["calc_saving_pairs"] == calls["construct"] == 54
+    assert calls["improve"] == len(constructions)
+    assert calls["relax_starts"] >= 1
+
+
 def test_observed_result_shapes():
     # the tracer counts savings.pairs with len(result) and unpacks
     # relax_starts as (status, s, returns, rounds)
@@ -46,9 +77,9 @@ def test_observed_result_shapes():
     )
     d = build_distance_matrix(inst)
     arcs = build_arc_set(inst, d)
-    pairs = calc_saving_pairs(inst, d, arcs, SavingParams(0.7, 0.7, 0.7))
+    pairs = calc_saving_pairs(saving_terms(inst, d, arcs), SavingParams(0.7, 0.7, 0.7))
     feasible = [(i, j) for i in range(1, 4) for j in range(1, 4)
-                if i != j and arcs.feasible[i, j]]
+                if i != j and arcs[i, j]]
     assert type(pairs) is list
     assert len(pairs) == len(feasible) == 2
     assert sorted(pairs) == feasible
