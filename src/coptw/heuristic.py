@@ -33,8 +33,8 @@ same routes.  It then runs the improvement pass once per distinct
 construction, keyed by its routes, and maps the results back onto the grid,
 keeping the best score (earliest triplet wins ties).  The calls within a
 phase are independent, so they can run in parallel processes without
-changing the result.  All of them read the distances, arc set, travel
-times and saving terms of one Prepared instance, built once per solve.
+changing the result.  All read the distances, arcs, travel times and
+saving terms of one Prepared instance, built once per solve or exact_solve.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .instances import Instance
 from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
                       parameter_grid, saving_terms)
 from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, objective,
-                         relax_starts, route_faults, static_faults)
+                         relax_starts, solution_faults)
 
 
 @dataclass
@@ -397,12 +397,10 @@ def improve(prep: Prepared, solution: Solution) -> Solution:
     exactly one served vertex worth no more than the newcomer (which is then
     removed: a one-for-one trade).  Every other outcome undoes the move
     (`_Workspace.substitute`), so the returned score never drops below the
-    input score.  An input the checker rejects raises ValueError: its first
-    route_faults() or static_faults() entry, found before any schedule, or
-    its late start, late return or circular wait.
+    input score.  An input the checker rejects raises ValueError naming its
+    first solution_faults() entry, the one check_solution reports first.
     """
-    faults = (route_faults(prep.instance, solution.routes)
-              or static_faults(prep.instance, prep.feas, solution.routes))
+    faults = solution_faults(prep.instance, prep.tt, prep.feas, solution.routes)
     if faults:
         family, detail = faults[0]
         raise ValueError(f"input solution is infeasible ({family}: {detail})")
@@ -440,7 +438,7 @@ def _improve_one(solution: Solution) -> Solution:
     return improve(_shared, solution)
 
 
-def solve(instance: Instance, workers: int = 1) -> SolverResult:
+def solve(instance: Instance | Prepared, workers: int = 1) -> SolverResult:
     """Construct every coefficient triplet, improve each distinct
     construction once and keep the best solution.
 
@@ -452,12 +450,14 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
     `triplet_scores` has one entry per triplet and the earliest triplet
     wins ties.  With `workers` above 1 both phases run on
     one process pool, which changes nothing but the wall time.  One
-    Prepared instance is built and shared by every call; a pool receives
-    it once per worker, through its initializer, and each task carries
-    only its triplet or construction."""
+    Prepared instance is shared by every call; a pool receives it once
+    per worker, through its initializer, and each task carries only its
+    triplet or construction.  `instance` may be that Prepared instance
+    itself, as `exact_solve` passes it; `wall_time` then excludes its
+    `prepare`."""
     t0 = time.perf_counter()
     grid = parameter_grid()
-    prep = prepare(instance)
+    prep = instance if isinstance(instance, Prepared) else prepare(instance)
     processes = _pool_size(workers, len(grid))
     with contextlib.ExitStack() as stack:
         if processes == 1:
@@ -478,7 +478,8 @@ def solve(instance: Instance, workers: int = 1) -> SolverResult:
         for key, sol in zip(keys, built):
             distinct.setdefault(key, sol)
         improved = run(_improve_one, distinct.values())
-        results = {key: (objective(instance, sol), sol) for key, sol in zip(distinct, improved)}
+        results = {key: (objective(prep.instance, sol), sol)
+                   for key, sol in zip(distinct, improved)}
     outcomes = [results[key] for key in keys]
     best_idx = 0
     for idx in range(1, len(outcomes)):

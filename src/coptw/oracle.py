@@ -21,7 +21,8 @@ solution as the incumbent gives the cold search, which finds every
 incumbent by itself.  The incumbent at any node is the current routes with
 not-yet-completed visits stripped out; stripping visits only lowers start
 times, so the incumbent is always a valid solution.  When limits stop the
-search early the incumbent is returned with proven_optimal=False.
+search early the incumbent is returned with proven_optimal=False.  The
+search, the seed solve and the incumbent's check read one Prepared instance.
 """
 
 from __future__ import annotations
@@ -29,21 +30,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .geometry import build_arc_set, build_distance_matrix
-from .heuristic import solve
+# unused here; kept because the benchmark tracer wraps these two names
+from .geometry import build_arc_set, build_distance_matrix  # noqa: F401
+from .heuristic import Prepared, prepare, solve
 from .instances import Instance
-from .scheduling import (RouteScan, Solution, TravelTimes, check_solution, insert_starts,
-                         objective, relax_starts)
+from .scheduling import (RouteScan, Solution, insert_starts, objective, relax_starts,
+                         solution_faults)
 
 
 @dataclass
 class OracleConfig:
     """Search limits; `time_limit` is in seconds and `inf` means none.
 
-    The time limit covers the whole `exact_solve` call, the heuristic solve
-    that seeds the default incumbent included.  That solve runs to its end
-    and cannot be interrupted: a limit shorter than it stops the search at
-    its first deadline check, and the call returns the unproven incumbent.
+    The time limit covers the `exact_solve` call after its `prepare`, the
+    heuristic solve that seeds the default incumbent included.  That solve
+    runs to its end and cannot be interrupted: a limit shorter than it
+    stops the search at its first deadline check, and the call returns the
+    unproven incumbent.
     """
 
     node_limit: int = 10**9
@@ -71,14 +74,12 @@ class _LimitReached(Exception):
 
 
 class _Search:
-    def __init__(self, instance: Instance, config: OracleConfig):
-        d = build_distance_matrix(instance)
-        self.tt = TravelTimes(instance, d)
-        feasible = build_arc_set(instance, d)
-        self.feas = feasible.tolist()
-        self.instance = instance
+    def __init__(self, prep: Prepared, config: OracleConfig):
+        self.tt = prep.tt
+        self.feas = prep.feas
+        self.instance = prep.instance
         self.config = config
-        self.team_size = instance.team_size
+        self.team_size = prep.instance.team_size
         self.req = self.tt.req
         self.reward = self.tt.reward
         n = self.tt.n
@@ -89,8 +90,8 @@ class _Search:
         )
         # a customer no feasible arc enters is never appended by _extend;
         # dropping it tightens the bound and stays admissible
-        col_ok = feasible.any(axis=0)
-        self.bound_candidates = [v for v in self.branch_order if col_ok[v]]
+        self.bound_candidates = [v for v in self.branch_order
+                                 if any(row[v] for row in self.feas)]
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before
         # its current tail does, up to the rounding this margin absorbs
@@ -247,13 +248,14 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
                 incumbent: Solution | None = None) -> OracleResult:
     """Find the maximum collectible reward by exhaustive search.
 
-    The search starts from `incumbent`, by default the best solution of
-    `heuristic.solve(instance, workers=1)`; a caller that already has it
-    passes it and saves the second solve.  The incumbent must pass
-    check_solution, else ValueError.  The search only replaces it with a
-    strictly better solution, so on a tie its routes come back.  Passing
-    `empty_solution(instance.team_size)` runs the cold search.  The
-    reported score is `objective` of the reported routes.
+    One `prepare(instance)` serves the call.  The search starts from
+    `incumbent`, by default the best solution of `solve(prep, workers=1)`
+    on it; a caller that already has it passes it and saves the solve.
+    An incumbent with solution_faults() raises ValueError naming the first.
+    The search only replaces it with a strictly better solution, so on a
+    tie its routes come back.  Passing `empty_solution(instance.team_size)`
+    runs the cold search.  The reported score is `objective` of the
+    reported routes.
 
     Measured on a 2-vCPU Xeon under Python 3.11: the 16 benchmark rows at
     10-12 customers and 3-4 members (requirement seed 1) prove in 811 to
@@ -265,12 +267,13 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
     """
     if config is None:
         config = OracleConfig()
-    search = _Search(instance, config)  # its deadline covers the seed solve
+    prep = prepare(instance)
+    search = _Search(prep, config)  # its deadline covers the seed solve
     if incumbent is None:
-        incumbent = solve(instance, workers=1).best_solution
-    violations = check_solution(instance, incumbent).violations
-    if violations:
-        family, detail = violations[0]
+        incumbent = solve(prep, workers=1).best_solution
+    faults = solution_faults(instance, prep.tt, prep.feas, incumbent.routes)
+    if faults:
+        family, detail = faults[0]
         raise ValueError(f"incumbent is infeasible ({family}: {detail})")
     search.best_score = objective(instance, incumbent)
     search.best_routes = [list(r) for r in incumbent.routes if r]

@@ -327,16 +327,6 @@ def bad_arcs(feas, routes: list[list[int]]):
             yield prev, 0
 
 
-def static_faults(instance: Instance, feas, routes: list[list[int]]) -> list[tuple[str, object]]:
-    """check_solution's entries that need no schedule, for routes whose ids
-    are valid: every bad_arcs() arc, then each visited vertex, ascending,
-    that fewer members visit than it requires."""
-    counts = Solution(routes).visit_counts(instance.n_vertices)
-    return [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)] + [
-        ("requirement", v) for v in sorted({v for route in routes for v in route})
-        if counts[v] < instance.requirements[v]]
-
-
 def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | ScheduleInfeasible:
     """Compute cooperative start times for a structurally valid solution.
 
@@ -372,38 +362,44 @@ def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | Sch
     return Schedule(starts=starts, arrivals=arrivals, returns=returns, rounds=rounds)
 
 
-def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
-    """Verify a solution against the full constraint set.
+def solution_faults(instance: Instance, tt: TravelTimes, feas,
+                    routes: list[list[int]]) -> list[tuple[str, object]]:
+    """Every constraint the routes break, as (family, offender) entries in
+    this order; nothing raises, so garbage routes are accepted.
 
-    Every problem becomes a (family, offender) entry; nothing raises, so the
-    checker accepts arbitrary garbage.  Families: depot-flow (team departs
-    from and returns to the depot, one route per member), conservation
-    (structural route integrity), requirement (each visited vertex, in
-    ascending order, that fewer members visit than it requires),
-    window-close (propagated service start within the window; starts never
-    precede the opening time), horizon (returns by the deadline), deadlock
-    (cross-route waits that never stabilize, so no start times exist),
-    arc-feasibility (every traversed arc is in the arc set).  The structural
-    entries come from route_faults(), the schedule entries from late() and
-    the arc and requirement entries from static_faults(), over one distance
-    matrix built for the travel times and the arc set alike.
+    First the route_faults() entries: depot-flow (one route per member,
+    none through the depot) and conservation (known ids, no repeats).  A
+    fault inside a route ends the list there.  Then deadlock (cross-route
+    waits that never stabilize) or late()'s window-close (start past the
+    close) and horizon (return past T_max) entries, then arc-feasibility
+    (every bad_arcs() arc of `feas`), then requirement (each visited
+    vertex, ascending, that fewer members visit than it requires).
     """
-    routes = solution.routes
-    violations = route_faults(instance, routes)
+    faults = route_faults(instance, routes)
     # a wrong route count still leaves every id usable; a fault inside a
     # route does not, so the checks below need none
-    if len(violations) == (len(routes) != instance.team_size):
-        d = build_distance_matrix(instance)
-        tt = TravelTimes(instance, d)
-        status, s, returns, _ = relax_starts(tt, routes)
-        if status == "deadlock":
-            violations.append(("deadlock", "cross-route waits never stabilize"))
-        else:
-            vertices, members = late(tt, routes, s, returns)
-            violations += [("window-close", v) for v in vertices]
-            violations += [("horizon", f"route {m} returns at {returns[m]}") for m in members]
-        violations += static_faults(instance, build_arc_set(instance, d), routes)
+    if len(faults) != (len(routes) != instance.team_size):
+        return faults
+    status, s, returns, _ = relax_starts(tt, routes)
+    if status == "deadlock":
+        faults.append(("deadlock", "cross-route waits never stabilize"))
+    else:
+        vertices, members = late(tt, routes, s, returns)
+        faults += [("window-close", v) for v in vertices]
+        faults += [("horizon", f"route {m} returns at {returns[m]}") for m in members]
+    faults += [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)]
+    counts = Solution(routes).visit_counts(instance.n_vertices)
+    return faults + [("requirement", v) for v in sorted({v for route in routes for v in route})
+                     if counts[v] < instance.requirements[v]]
 
+
+def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
+    """Verify a solution against the full constraint set: the entries of
+    solution_faults(), over travel times and an arc set built here from
+    one distance matrix, so the verdict depends on no caller's data."""
+    d = build_distance_matrix(instance)
+    violations = solution_faults(instance, TravelTimes(instance, d),
+                                 build_arc_set(instance, d), solution.routes)
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 

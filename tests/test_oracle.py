@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from coptw import (
     exact_solve,
     objective,
     optimality_gap,
+    prepare,
     solve,
 )
 from coptw.oracle import _Search
@@ -76,7 +78,7 @@ class TestExactSolve:
             team_size=2,
             t_max=100.0,
         )
-        search = _Search(inst, OracleConfig())
+        search = _Search(prepare(inst), OracleConfig())
         assert search.bound_candidates == [1]
         res = exact_solve(inst)
         assert res.proven_optimal
@@ -98,7 +100,7 @@ class TestExactSolve:
         assert res.proven_optimal
         assert res.best_score == best_score_bruteforce(inst) == 11.0
 
-        search = _Search(inst, OracleConfig())
+        search = _Search(prepare(inst), OracleConfig())
         search.routes = [[1]]
         search.open_set = {1}
         search.count[1] = 1
@@ -124,7 +126,7 @@ class TestExactSolve:
             team_size=2,
             t_max=100.0,
         )
-        search = _Search(inst, OracleConfig())
+        search = _Search(prepare(inst), OracleConfig())
         search.routes = [[1]]
         search.open_set = {1}
         search.count[1] = 1
@@ -238,18 +240,18 @@ class TestExactSolve:
             heur = solve(inst)
             assert heur.best_score <= opt.best_score
 
-    @pytest.mark.parametrize("routes", [
-        pytest.param([[2], []], id="late-window"),
-        pytest.param([[1]], id="route-count"),
+    @pytest.mark.parametrize("routes, fault", [
+        pytest.param([[2], []], "window-close: 2", id="late-window"),
+        pytest.param([[1]], "depot-flow: expected 2 routes, got 1", id="route-count"),
     ])
-    def test_infeasible_incumbent_rejected(self, routes):
+    def test_infeasible_incumbent_rejected(self, routes, fault):
         # customer 2 closes at 10, before anyone can get there
         inst = make_instance(
             [(5.0, 0.0, 2.0, 17.0, 0.0, 50.0, 1), (50.0, 0.0, 1.0, 5.0, 0.0, 10.0, 1)],
             team_size=2,
             t_max=200.0,
         )
-        with pytest.raises(ValueError, match="incumbent is infeasible"):
+        with pytest.raises(ValueError, match=re.escape(f"incumbent is infeasible ({fault})")):
             exact_solve(inst, incumbent=Solution(routes=routes))
 
     def test_worse_incumbent_is_beaten(self):

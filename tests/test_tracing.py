@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 from coptw import (SavingParams, build_arc_set, build_distance_matrix, calc_saving_pairs,
-                   heuristic, saving_terms, solve)
+                   exact_solve, heuristic, oracle, prepare, saving_terms, scheduling, solve)
 from coptw.scheduling import TravelTimes, relax_starts
 
 from conftest import make_instance, random_instance
@@ -61,6 +61,34 @@ def test_heuristic_layers_called_through_module_names(monkeypatch):
     assert calls["calc_saving_pairs"] == calls["construct"] == 54
     assert calls["improve"] == len(constructions)
     assert calls["relax_starts"] >= 1
+
+
+def test_exact_solve_builds_one_instance_model(monkeypatch):
+    # the search, its seed solve and the incumbent's check share one
+    # prepare: one matrix and one arc set, built through heuristic's names
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (heuristic, oracle, scheduling):
+        for attr in ("build_distance_matrix", "build_arc_set"):
+            label = f"{module.__name__}.{attr}"
+            monkeypatch.setattr(module, attr, counted(label, getattr(module, attr)))
+    monkeypatch.setattr(heuristic, "construct", counted("construct", heuristic.construct))
+    exact_solve(random_instance(random.Random(7), 6, team_size=2))
+    assert calls == Counter({"coptw.heuristic.build_distance_matrix": 1,
+                             "coptw.heuristic.build_arc_set": 1, "construct": 54})
+
+
+def test_solve_accepts_prepared_instance():
+    inst = random_instance(random.Random(7), 8, team_size=3)
+    fresh, prepared = solve(inst), solve(prepare(inst))
+    for field in ("triplet_scores", "best_score", "best_params", "best_solution"):
+        assert getattr(prepared, field) == getattr(fresh, field)
 
 
 def test_observed_result_shapes():
