@@ -19,13 +19,19 @@ rejected then, v between u and w, plus visits.  Its starts are no lower,
 so the late start, late return or circular wait that rejected it remains.
 Where some customer's service time is too short for this
 (TravelTimes.monotone), a vertex is retried once anything was placed
-since it failed.
+since it failed.  Otherwise its first top-up settles it for the rest of
+the walk, complete or failed, and the walk skips it from then on.
 
 The improvement pass then scans the unvisited vertices (highest reward
 first) and tries to insert each one outright; failing that, it places the
 visits at the cheapest arc-valid positions regardless of the schedule and,
 if that breaks exactly one served vertex worth no more than the newcomer,
-trades the two.  Any other breakage restores the previous routes.
+trades the two.  Any other breakage restores the previous routes.  Under
+TravelTimes.monotone the same argument holds for this placement: it only
+adds visits, so the starts before it bound the new ones from below.  When
+the bound on the newcomer's start, or on its new successors' starts,
+already shows a breakage no trade can mend, the move is undone without
+relaxing the schedule (_Workspace.substitute).
 
 A full run has two phases.  It first constructs one solution for each of
 the 54 coefficient triplets; many triplets walk their pair lists to the
@@ -43,6 +49,7 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .geometry import build_arc_set, build_distance_matrix
@@ -120,12 +127,17 @@ class _Workspace:
 
     @classmethod
     def from_solution(cls, prep: Prepared, solution: Solution) -> "_Workspace":
+        """A workspace over a solution the checker accepts, keeping the
+        starts of its check; any other input raises ValueError naming its
+        first solution_faults() entry, the one check_solution reports
+        first."""
+        faults, s = solution_faults(prep.instance, prep.tt, prep.feas, solution.routes)
+        if faults:
+            family, detail = faults[0]
+            raise ValueError(f"input solution is infeasible ({family}: {detail})")
         ws = cls(prep)
         ws.routes = [list(route) for route in solution.routes]
         ws.count = solution.visit_counts(ws.tt.n)
-        status, s, _, _ = relax_starts(ws.tt, ws.routes)
-        if status != "ok":
-            raise ValueError(f"input solution has no feasible schedule: {status}")
         ws.s = s
         ws._index()
         ws.failures_final = False
@@ -335,12 +347,52 @@ class _Workspace:
             self._place(m, pos, v)
         return True
 
+    def _doomed(self, v: int) -> bool:
+        """Whether the starts before force_place(v), which bound the new
+        ones from below while TravelTimes.monotone holds, already show a
+        breakage no trade can mend: v late, a late successor of v worth
+        more than v, or two distinct late successors.  v's bound is the
+        latest arrival from its new predecessors (the depot's travel time
+        at a route head), each successor's is v's departure at that bound,
+        both in relax_starts' float order.  A successor can follow v on
+        several routes; it counts once."""
+        tt = self.tt
+        s = self.s
+        t = tt.t
+        dur = tt.dur
+        close = tt.close
+        reward = tt.reward
+        start = tt.open[v]
+        for _, u, _ in self.links[v]:
+            arr = s[u] + dur[u] + t[u][v] if u else t[0][v]
+            if arr > start:
+                start = arr
+        if start > close[v]:
+            return True
+        depart = start + dur[v]
+        t_v = t[v]
+        broken = 0  # the late successor seen so far
+        for _, _, w in self.links[v]:
+            if w and depart + t_v[w] > close[w]:
+                if reward[w] > reward[v] or broken and broken != w:
+                    return True
+                broken = w
+        return False
+
     def substitute(self, v: int) -> None:
         """One improvement move for an unvisited v on a complete, feasible
         solution: insert v outright, or trade it for the one served vertex
         its schedule-blind placement breaks if that one is worth no more.
         Any other outcome drops v again and keeps the old starts, which
-        are the fixed point of the unchanged routes."""
+        are the fixed point of the unchanged routes.
+
+        Under TravelTimes.monotone adding visits never lowers a start, so
+        the old starts bound those of the forced routing from below.  When
+        the bound already makes v late, a successor of v late that is
+        worth more than v, or two distinct successors late (_doomed), no
+        trade can commit and the move is undone without a relaxation.  A
+        late return decides nothing: removing the traded vertex can cure
+        it."""
         tt = self.tt
         s = self.s
         if self.top_up(v):
@@ -349,6 +401,10 @@ class _Workspace:
         self.s = s
         if not self.force_place(v):
             self.drop(v)
+            return
+        if tt.monotone and self._doomed(v):
+            self.drop(v)
+            self.s = s
             return
         status, s_new, returns, _ = relax_starts(tt, self.routes)
         if status == "ok":
@@ -378,13 +434,17 @@ def construct(prep: Prepared, params: SavingParams) -> Solution:
     solution.
     """
     ws = _Workspace(prep)
-    for i, j in calc_saving_pairs(prep.terms, params):
-        ws.top_up(i)
-        ws.top_up(j)
+    tt = ws.tt
     # vertices in no feasible pair (isolated but depot-reachable customers,
-    # or a lone customer) still deserve an attempt
-    for v in sorted(range(1, ws.tt.n), key=lambda u: (-ws.tt.reward[u], u)):
-        ws.top_up(v)
+    # or a lone customer) still deserve an attempt after the pairs
+    by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
+    # while failures are final the walk drops nothing, so a top_up settles
+    # its vertex: complete, or failed until the walk ends
+    settled = bytearray(tt.n)
+    for v in chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward):
+        if not settled[v]:
+            ws.top_up(v)
+            settled[v] = ws.failures_final
     ws.remove_underserved()
     return ws.to_solution()
 
@@ -398,12 +458,8 @@ def improve(prep: Prepared, solution: Solution) -> Solution:
     removed: a one-for-one trade).  Every other outcome undoes the move
     (`_Workspace.substitute`), so the returned score never drops below the
     input score.  An input the checker rejects raises ValueError naming its
-    first solution_faults() entry, the one check_solution reports first.
+    first solution_faults() entry (`_Workspace.from_solution`).
     """
-    faults = solution_faults(prep.instance, prep.tt, prep.feas, solution.routes)
-    if faults:
-        family, detail = faults[0]
-        raise ValueError(f"input solution is infeasible ({family}: {detail})")
     ws = _Workspace.from_solution(prep, solution)
     tt = ws.tt
     unvisited = [v for v in range(1, tt.n) if ws.count[v] == 0 and tt.req[v] <= ws.team_size]

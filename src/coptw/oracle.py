@@ -271,7 +271,7 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
     search = _Search(prep, config)  # its deadline covers the seed solve
     if incumbent is None:
         incumbent = solve(prep, workers=1).best_solution
-    faults = solution_faults(instance, prep.tt, prep.feas, incumbent.routes)
+    faults, _ = solution_faults(instance, prep.tt, prep.feas, incumbent.routes)
     if faults:
         family, detail = faults[0]
         raise ValueError(f"incumbent is infeasible ({family}: {detail})")

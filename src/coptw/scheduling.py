@@ -362,10 +362,12 @@ def propagate_schedule(instance: Instance, solution: Solution) -> Schedule | Sch
     return Schedule(starts=starts, arrivals=arrivals, returns=returns, rounds=rounds)
 
 
-def solution_faults(instance: Instance, tt: TravelTimes, feas,
-                    routes: list[list[int]]) -> list[tuple[str, object]]:
+def solution_faults(instance: Instance, tt: TravelTimes, feas, routes: list[list[int]]
+                    ) -> tuple[list[tuple[str, object]], list[float] | None]:
     """Every constraint the routes break, as (family, offender) entries in
-    this order; nothing raises, so garbage routes are accepted.
+    this order, and the starts of relax_starts over the routes, which a
+    caller of a routing without faults can keep (None when a fault inside a
+    route ended the list); nothing raises, so garbage routes are accepted.
 
     First the route_faults() entries: depot-flow (one route per member,
     none through the depot) and conservation (known ids, no repeats).  A
@@ -379,7 +381,7 @@ def solution_faults(instance: Instance, tt: TravelTimes, feas,
     # a wrong route count still leaves every id usable; a fault inside a
     # route does not, so the checks below need none
     if len(faults) != (len(routes) != instance.team_size):
-        return faults
+        return faults, None
     status, s, returns, _ = relax_starts(tt, routes)
     if status == "deadlock":
         faults.append(("deadlock", "cross-route waits never stabilize"))
@@ -389,8 +391,9 @@ def solution_faults(instance: Instance, tt: TravelTimes, feas,
         faults += [("horizon", f"route {m} returns at {returns[m]}") for m in members]
     faults += [("arc-feasibility", arc) for arc in bad_arcs(feas, routes)]
     counts = Solution(routes).visit_counts(instance.n_vertices)
-    return faults + [("requirement", v) for v in sorted({v for route in routes for v in route})
-                     if counts[v] < instance.requirements[v]]
+    faults += [("requirement", v) for v in sorted({v for route in routes for v in route})
+               if counts[v] < instance.requirements[v]]
+    return faults, s
 
 
 def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
@@ -398,8 +401,8 @@ def check_solution(instance: Instance, solution: Solution) -> FeasibilityReport:
     solution_faults(), over travel times and an arc set built here from
     one distance matrix, so the verdict depends on no caller's data."""
     d = build_distance_matrix(instance)
-    violations = solution_faults(instance, TravelTimes(instance, d),
-                                 build_arc_set(instance, d), solution.routes)
+    violations, _ = solution_faults(instance, TravelTimes(instance, d),
+                                    build_arc_set(instance, d), solution.routes)
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 

@@ -234,6 +234,15 @@ def walk(ws, prep, params):
         ws.top_up(v)
 
 
+def full_relaxation(prep):
+    """prep with TravelTimes.monotone forced off: every move takes the path
+    that decides nothing from the current starts."""
+    inst = prep.instance
+    tt = TravelTimes(inst, build_distance_matrix(inst))
+    tt.monotone = False
+    return prep._replace(tt=tt)
+
+
 @pytest.fixture
 def retries(monkeypatch):
     """Every try_place_one call as (final, retry, placed): `final` is the
@@ -285,9 +294,7 @@ class TestRetry:
             inst = random_instance(rng, n, team_size=team_size, r_max=team_size,
                                    window=window, service=service)
             prep = prepare(inst)
-            full = TravelTimes(inst, build_distance_matrix(inst))
-            full.monotone = False
-            full_prep = prep._replace(tt=full)
+            full_prep = full_relaxation(prep)
             assert prep.tt.monotone
             for params in rng.sample(parameter_grid(), 4):
                 phase[0] = "grow"
@@ -363,6 +370,100 @@ class TestRetry:
         assert retries[start:] and all(retry and not final for final, retry, _ in retries[start:])
 
 
+class TestDecidedMoves:
+    """Under TravelTimes.monotone the heuristic skips the moves whose
+    outcome the current starts already decide; the skips change nothing."""
+
+    # service times on both sides of the monotone margin (~6e-7 here)
+    SERVICES = (0.0, 1e-12, 3.0, 8.0)
+
+    def test_doomed_substitution_skip_is_exact(self, monkeypatch):
+        verdicts = []  # (monotone, doomed) per _doomed call
+        doomed = _Workspace._doomed
+
+        def recorded(ws, v):
+            verdict = doomed(ws, v)
+            verdicts.append((ws.tt.monotone, verdict))
+            return verdict
+
+        monkeypatch.setattr(_Workspace, "_doomed", recorded)
+        rng = random.Random(31)
+        for trial in range(32):
+            service = self.SERVICES[trial % 4]
+            team_size = rng.randint(1, 4)
+            inst = random_instance(rng, rng.randint(5, 12), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([20.0, 60.0]),
+                                   service=service)
+            prep = prepare(inst)
+            assert prep.tt.monotone is (service > 1e-9)
+            slow_prep = full_relaxation(prep)
+            tt = prep.tt
+            for params in rng.sample(parameter_grid(), 3):
+                built = construct(prep, params)
+                fast = _Workspace.from_solution(prep, built)
+                slow = _Workspace.from_solution(slow_prep, built)
+                unvisited = [v for v in range(1, tt.n)
+                             if fast.count[v] == 0 and tt.req[v] <= team_size]
+                for v in sorted(unvisited, key=lambda v: (-tt.reward[v], v)):
+                    fast.substitute(v)
+                    slow.substitute(v)
+                    assert fast.routes == slow.routes
+                    assert fast.links == slow.links
+                    assert fast.count == slow.count
+                    assert fast.s == slow.s
+                assert fast.to_solution() == improve(prep, built)
+        # only monotone instances ask, and the bound decides some moves
+        # but not all
+        assert all(monotone for monotone, _ in verdicts)
+        assert {verdict for _, verdict in verdicts} == {True, False}
+
+    def test_successor_late_on_two_routes_counts_once(self):
+        # 2 forced ahead of 1 on both routes reaches 1 at 10 + 10 + 10 = 30,
+        # past its close at 25, on each: one late vertex, worth less than
+        # 2, so the trade commits
+        inst = make_instance([(20.0, 0.0, 5.0, 10.0, 0.0, 25.0, 2),
+                              (10.0, 0.0, 10.0, 30.0, 0.0, 30.0, 2)],
+                             team_size=2, t_max=200.0)
+        prep = prepare(inst)
+        start = Solution(routes=[[1], [1]])
+        ws = _Workspace.from_solution(prep, start)
+        assert ws.tt.monotone and ws.force_place(2)
+        assert ws.links[2] == [[0, 0, 1], [1, 0, 1]]
+        assert not ws._doomed(2)
+        assert improve(prep, start).routes == [[2], [2]]
+
+    def test_settled_walk_is_exact(self, monkeypatch):
+        # construct tops up each vertex at most once while failures are
+        # final, and gets the routes of the unfiltered walk
+        calls = []
+        top_up = _Workspace.top_up
+
+        def counted(ws, v):
+            calls.append(v)
+            return top_up(ws, v)
+
+        monkeypatch.setattr(_Workspace, "top_up", counted)
+        rng = random.Random(47)
+        for trial in range(24):
+            team_size = rng.randint(1, 4)
+            inst = random_instance(rng, rng.randint(4, 14), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([20.0, 60.0]),
+                                   service=self.SERVICES[trial % 4])
+            prep = prepare(inst)
+            for params in rng.sample(parameter_grid(), 3):
+                ws = _Workspace(prep)
+                del calls[:]
+                walk(ws, prep, params)
+                walked = len(calls)
+                ws.remove_underserved()
+                del calls[:]
+                assert construct(prep, params) == ws.to_solution()
+                if prep.tt.monotone:
+                    assert len(calls) == len(set(calls)) <= walked
+                else:
+                    assert len(calls) == walked
+
+
 class TestImprove:
     def swap_instance(self, reward_in=10.0, reward_out=30.0):
         # serving both customers is impossible; the outsider is worth a swap
@@ -427,10 +528,12 @@ class TestImprove:
         assert violations[0] == violation
         assert len(violations) == (3 if violation[0] == "requirement" else 1)
         # the error names the checker's first entry, a late start or
-        # return included
+        # return included, for improve and for a workspace built directly
         family, detail = violation
-        with pytest.raises(ValueError, match=re.escape(f"{family}: {detail}")):
-            improve(prepare(inst), start)
+        prep = prepare(inst)
+        for build in (improve, _Workspace.from_solution):
+            with pytest.raises(ValueError, match=re.escape(f"{family}: {detail}")):
+                build(prep, start)
 
     def test_fixed_point_when_nothing_insertable(self):
         inst = make_instance(
