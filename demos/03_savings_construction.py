@@ -4,7 +4,8 @@ The saving of an ordered customer pair mixes three signals: the classical
 route-merge distance saving, a sweep-style bonus for pairs at an acute
 depot angle, and a reward push.  Changing the three coefficients reshapes
 the pair list, which is exactly how the full solver diversifies: each of
-the 54 coefficient triplets drives one construction.
+the 54 coefficient triplets drives one construction, and triplets whose
+lists open alike share the top-ups of that opening.
 
 Run from the repository root:  python demos/03_savings_construction.py
 """
@@ -18,6 +19,7 @@ from coptw import (
     calc_saving_pairs,
     check_solution,
     construct,
+    heuristic,
     improve,
     mean_customer_reward,
     objective,
@@ -58,6 +60,14 @@ def main():
     assert check_solution(inst, polished).feasible
 
     print("\nfull grid search over all 54 triplets:")
+    # a construction's top-up calls follow from its pair list, so solve
+    # plans the grid first and walks each shared prefix of calls once
+    grid = parameter_grid()
+    plan = heuristic._Plan(prep, grid)
+    alone = sum(len(order) for order in plan.orders)
+    shared = sum(len(order) - depth for order, (depth, _) in zip(plan.orders, plan.resume))
+    assert [construct(prep, p, plan) for p in grid] == [construct(prep, p) for p in grid]
+    print(f"  construction top-ups: {shared} with shared prefixes, {alone} triplet by triplet")
     result = solve(inst)
     print(f"  best score {result.best_score} from {result.best_params}")
     print(f"  grid scores min/max: {min(result.triplet_scores)}/{max(result.triplet_scores)}")

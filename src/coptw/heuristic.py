@@ -34,13 +34,21 @@ already shows a breakage no trade can mend, the move is undone without
 relaxing the schedule (_Workspace.substitute).
 
 A full run has two phases.  It first constructs one solution for each of
-the 54 coefficient triplets; many triplets walk their pair lists to the
-same routes.  It then runs the improvement pass once per distinct
-construction, keyed by its routes, and maps the results back onto the grid,
-keeping the best score (earliest triplet wins ties).  The calls within a
-phase are independent, so they can run in parallel processes without
-changing the result.  All read the distances, arcs, travel times and
-saving terms of one Prepared instance, built once per solve or exact_solve.
+the 54 coefficient triplets.  A construction is a sequence of top-ups
+whose vertices its pair list fixes before the walk starts, and the
+workspace after k of them depends only on those k vertices.  So the run
+computes every triplet's call order first, and a triplet whose order
+opens like an earlier triplet's resumes from a copy of the workspace that
+triplet saved at the end of the longest shared prefix (_Plan); each
+distinct prefix is walked once.  Many triplets still reach the same
+routes, so the run then improves each distinct construction once, keyed
+by its routes, and maps the results back onto the grid, keeping the best
+score (earliest triplet wins ties).  In parallel processes the
+construction phase splits the grid into contiguous runs of triplets, one
+per process, each planned on its own; the improvements are independent
+calls.  Neither changes the result.  All read the distances, arcs, travel
+times and saving terms of one Prepared instance, built once per solve or
+exact_solve.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -141,6 +150,21 @@ class _Workspace:
         ws.s = s
         ws._index()
         ws.failures_final = False
+        return ws
+
+    def copy(self) -> "_Workspace":
+        """An independent workspace in the same state.  The member index is
+        rebuilt from the copied routes, since _relink edits its entries in
+        place; `s` is shared, since it is only ever replaced."""
+        ws = _Workspace.__new__(_Workspace)
+        ws.tt, ws.feas, ws.dist, ws.team_size = self.tt, self.feas, self.dist, self.team_size
+        ws.routes = [list(route) for route in self.routes]
+        ws._index()
+        ws.count = list(self.count)
+        ws.s = self.s
+        ws.version = self.version
+        ws.fail_version = list(self.fail_version)
+        ws.failures_final = self.failures_final
         return ws
 
     def to_solution(self) -> Solution:
@@ -424,7 +448,104 @@ class _Workspace:
         self.s = s
 
 
-def construct(prep: Prepared, params: SavingParams) -> Solution:
+def _branch_points(orders: list[list[int]]) -> list[tuple[int, int | None]]:
+    """For each order, (depth, earlier): the length of the longest prefix
+    it shares with an earlier order, and an earlier order that reaches
+    it through its own walk; (0, None) when no earlier order starts alike.
+
+    The orders go into a path-compressed trie.  A node is [owner, depth,
+    children]; its edge is the owner's order from the parent's depth to
+    its own, and the owner is the order that added the edge.  Each order
+    compares each of its entries at most once, so the cost is linear in
+    the total length.  An order adds edges only from its own branch depth
+    on, so the earlier order named branched off above the shared depth and
+    walks through it itself."""
+    root: dict[int, list] = {}
+    points = []
+    for t, order in enumerate(orders):
+        n = len(order)
+        depth, owner, children = 0, None, root
+        while depth < n:
+            child = children.get(order[depth])
+            if child is None:
+                children[order[depth]] = [t, n, {}]
+                break
+            owner, end, below = child
+            ref = orders[owner]
+            k = depth + 1
+            while k < end and k < n and ref[k] == order[k]:
+                k += 1
+            if k < end:  # the orders part inside the edge: split it there
+                fork = [owner, k, {ref[k]: child}]
+                children[order[depth]] = fork
+                if k < n:
+                    fork[2][order[k]] = [t, n, {}]
+                depth = k
+                break
+            depth, children = end, below
+        points.append((depth, owner))
+    return points
+
+
+class _Plan:
+    """The construction walks of a run of triplets, planned together.
+
+    construct's workspace after k top_up calls depends only on the k
+    vertices called, so triplets whose call orders agree for k calls share
+    that state exactly.  Each triplet resumes from the deepest state an
+    earlier triplet of the run reached (_branch_points); that earlier
+    triplet saves a copy of its workspace there.  The last triplet to
+    resume from a saved copy takes it, the others copy it, so no two
+    walks ever share a mutable list.
+
+    construct(prep, params, plan) must be called for the run's triplets in
+    run order."""
+
+    def __init__(self, prep: Prepared, grid: list[SavingParams]):
+        tt = prep.tt
+        # every customer, best reward first, ends each walk: a vertex in no
+        # feasible pair (isolated but depot-reachable, or a lone customer)
+        # still gets an attempt
+        by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
+        self.orders = []  # per triplet, the vertices its walk tops up in call order
+        for params in grid:
+            walk = chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward)
+            # while failures are final (TravelTimes.monotone) the walk drops
+            # nothing, so a vertex's first top_up settles it, complete or
+            # failed until the walk ends: only first appearances are called
+            self.orders.append(list(dict.fromkeys(walk)) if tt.monotone else list(walk))
+        self.prep = prep
+        self.grid = grid
+        self.resume = _branch_points(self.orders)
+        # (saver, depth) -> triplets still to resume there
+        self.users = Counter((saver, depth) for depth, saver in self.resume if depth)
+        self.saves: list[list[int]] = [[] for _ in grid]  # depths each triplet saves at
+        for saver, depth in sorted(self.users):
+            self.saves[saver].append(depth)
+        self.saved: dict[tuple[int, int], _Workspace] = {}
+        self.next = 0  # the triplet construct builds next
+
+    def start(self, params: SavingParams):
+        """The next triplet's workspace, call order, resumption depth and
+        save depths."""
+        t = self.next
+        if t == len(self.grid) or self.grid[t] != params:
+            raise ValueError(f"{params} is not the plan's next triplet")
+        self.next = t + 1
+        depth, saver = self.resume[t]
+        if not depth:
+            ws = _Workspace(self.prep)
+        else:
+            key = (saver, depth)
+            self.users[key] -= 1
+            ws = self.saved[key].copy() if self.users[key] else self.saved.pop(key)
+        return ws, self.orders[t], depth, self.saves[t]
+
+    def save(self, ws: _Workspace, depth: int) -> None:
+        self.saved[self.next - 1, depth] = ws.copy()
+
+
+def construct(prep: Prepared, params: SavingParams, plan: _Plan | None = None) -> Solution:
     """Build one solution by walking the saving-pair list for `params`.
 
     After the pair walk, customers that appear in no feasible pair get one
@@ -432,19 +553,23 @@ def construct(prep: Prepared, params: SavingParams) -> Solution:
     strips every vertex left short of its requirement.  The result is always
     checker-feasible; when nothing can be placed it is the all-empty
     solution.
+
+    With the `plan` of a run of triplets (solve passes one) the walk
+    resumes from the state an earlier triplet saved and saves the states
+    later ones resume from; the result is the same.  Without one, the
+    triplet is planned alone.
     """
-    ws = _Workspace(prep)
-    tt = ws.tt
-    # vertices in no feasible pair (isolated but depot-reachable customers,
-    # or a lone customer) still deserve an attempt after the pairs
-    by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
-    # while failures are final the walk drops nothing, so a top_up settles
-    # its vertex: complete, or failed until the walk ends
-    settled = bytearray(tt.n)
-    for v in chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward):
-        if not settled[v]:
-            ws.top_up(v)
-            settled[v] = ws.failures_final
+    if plan is None:
+        plan = _Plan(prep, [params])
+    ws, order, depth, saves = plan.start(params)
+    top_up = ws.top_up
+    for save in saves:
+        for v in order[depth:save]:
+            top_up(v)
+        depth = save
+        plan.save(ws, depth)
+    for v in order[depth:]:
+        top_up(v)
     ws.remove_underserved()
     return ws.to_solution()
 
@@ -486,8 +611,18 @@ def _share(prep: Prepared | None) -> None:
     _shared = prep
 
 
-def _construct_one(params: SavingParams) -> Solution:
-    return construct(_shared, params)
+def _slices(items: list, parts: int) -> list[list]:
+    """`items` cut into `parts` contiguous runs, their lengths at most one
+    apart."""
+    size, extra = divmod(len(items), parts)
+    cuts = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _construct_run(grid: list[SavingParams]) -> list[Solution]:
+    """Construct a run of triplets in order, planned together."""
+    plan = _Plan(_shared, grid)
+    return [construct(_shared, params, plan) for params in grid]
 
 
 def _improve_one(solution: Solution) -> Solution:
@@ -498,17 +633,20 @@ def solve(instance: Instance | Prepared, workers: int = 1) -> SolverResult:
     """Construct every coefficient triplet, improve each distinct
     construction once and keep the best solution.
 
-    Phase 1 calls `construct` for every triplet in grid order.  Phase 2
-    calls `improve` once per distinct construction, in first-seen grid
-    order.  The key is the routes, member order included; it is exact
-    because a solution is its routes and `improve` is deterministic.  Each
-    triplet then takes the improved result of its construction, so
-    `triplet_scores` has one entry per triplet and the earliest triplet
-    wins ties.  With `workers` above 1 both phases run on
-    one process pool, which changes nothing but the wall time.  One
-    Prepared instance is shared by every call; a pool receives it once
+    Phase 1 plans the grid's walks together (_Plan) and calls `construct`
+    for every triplet in grid order, each resuming from the deepest state
+    an earlier triplet shares with it.  Phase 2 calls `improve` once per
+    distinct construction, in first-seen grid order.  The key is the
+    routes, member order included; it is exact because a solution is its
+    routes and `improve` is deterministic.  Each triplet then takes the
+    improved result of its construction, so `triplet_scores` has one entry
+    per triplet and the earliest triplet wins ties.  With `workers` above 1
+    both phases run on one process pool, which changes nothing but the
+    wall time: phase 1 maps one contiguous run of the grid to each
+    process, planned within that run, and phase 2 maps the constructions.
+    One Prepared instance is shared by every call; a pool receives it once
     per worker, through its initializer, and each task carries only its
-    triplet or construction.  `instance` may be that Prepared instance
+    triplets or construction.  `instance` may be that Prepared instance
     itself, as `exact_solve` passes it; `wall_time` then excludes its
     `prepare`."""
     t0 = time.perf_counter()
@@ -528,7 +666,7 @@ def solve(instance: Instance | Prepared, workers: int = 1) -> SolverResult:
             pool = ProcessPoolExecutor(max_workers=processes, initializer=_share,
                                        initargs=(prep,))
             run = stack.enter_context(pool).map
-        built = list(run(_construct_one, grid))
+        built = list(chain.from_iterable(run(_construct_run, _slices(grid, processes))))
         keys = [tuple(map(tuple, sol.routes)) for sol in built]
         distinct: dict[tuple, Solution] = {}  # routes -> construction, first seen first
         for key, sol in zip(keys, built):

@@ -22,7 +22,7 @@ from coptw import (
     truncate,
 )
 from coptw import heuristic, savings
-from coptw.heuristic import _pool_size, _Workspace
+from coptw.heuristic import _branch_points, _Plan, _pool_size, _slices, _Workspace
 from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan, TravelTimes
 
@@ -464,6 +464,153 @@ class TestDecidedMoves:
                     assert len(calls) == walked
 
 
+class TestSharedPrefixes:
+    """solve plans the grid's walks together: each triplet resumes from the
+    deepest state an earlier triplet reached, and gets the result of its own
+    walk."""
+
+    @staticmethod
+    def planned(prep, grid):
+        plan = _Plan(prep, grid)
+        return [construct(prep, params, plan) for params in grid], plan
+
+    def assert_planned_equals_standalone(self, prep, rng):
+        grid = parameter_grid()
+        for order in (grid, rng.sample(grid, len(grid))):
+            built, plan = self.planned(prep, order)
+            assert built == [construct(prep, params) for params in order]
+            assert not plan.saved  # every saved copy was used and dropped
+        return plan
+
+    @pytest.mark.parametrize("service", [3.0, 8.0, 0.0, 1e-12])
+    def test_planned_equals_standalone(self, service):
+        rng = random.Random(53)
+        shared = 0
+        for _ in range(6):
+            team_size = rng.randint(1, 4)
+            inst = random_instance(rng, rng.randint(4, 12), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([20.0, 60.0]),
+                                   service=service)
+            prep = prepare(inst)
+            assert prep.tt.monotone is (service > 1e-9)
+            plan = self.assert_planned_equals_standalone(prep, rng)
+            shared += sum(depth for depth, _ in plan.resume)
+            if not prep.tt.monotone:
+                assert all(len(order) > len(set(order)) for order in plan.orders)
+        assert shared
+
+    def test_desk_row_tops_up_each_distinct_prefix_once(self, data_dir, monkeypatch):
+        prep = prepare(desk_row(data_dir))
+        self.assert_planned_equals_standalone(prep, random.Random(59))
+        calls = []
+        top_up = _Workspace.top_up
+
+        def counted(ws, v):
+            calls.append(v)
+            return top_up(ws, v)
+
+        monkeypatch.setattr(_Workspace, "top_up", counted)
+        grid = parameter_grid()
+        orders = []  # each standalone construct's top_up calls
+        for params in grid:
+            del calls[:]
+            construct(prep, params)
+            orders.append(tuple(calls))
+        del calls[:]
+        self.planned(prep, grid)
+        prefixes = {order[:k] for order in orders for k in range(1, len(order) + 1)}
+        assert len(calls) == len(prefixes) < sum(map(len, orders))
+
+    def test_mutating_a_resumed_workspace_changes_no_other_triplet(self, data_dir, monkeypatch):
+        # every list of each walk's workspace is overwritten in place once its
+        # construct returns; `s` is left alone, since it is only ever replaced
+        resumed = []
+        start = _Plan.start
+
+        def recorded(plan, params):
+            state = start(plan, params)
+            resumed.append(state[0])
+            return state
+
+        def vandalize(ws):
+            for route in ws.routes:
+                route[:] = [0] * len(route)
+            for entries in ws.links:
+                for entry in entries:
+                    entry[:] = [-1, -1, -1]
+                entries.append([-1, -1, -1])
+            ws.count[:] = [-1] * len(ws.count)
+            ws.fail_version[:] = [10**9] * len(ws.fail_version)
+
+        monkeypatch.setattr(_Plan, "start", recorded)
+        rng = random.Random(67)
+        insts = [desk_row(data_dir)] + [random_instance(rng, 9, team_size=3, service=service)
+                                        for service in (3.0, 0.0)]
+        for inst in insts:
+            prep = prepare(inst)
+            grid = parameter_grid()
+            plan = _Plan(prep, grid)
+            assert any(depth for depth, _ in plan.resume)
+            for params in grid:
+                assert construct(prep, params, plan) == construct(prep, params)
+                vandalize(resumed[-1])
+
+    def test_copy_shares_no_mutable_list(self, data_dir):
+        prep = prepare(desk_row(data_dir))
+        ws = _Workspace(prep)
+        walk(ws, prep, parameter_grid()[0])
+        copy = ws.copy()
+        lists = [ws.routes, *ws.routes, ws.links, *ws.links,
+                 *(entry for entries in ws.links for entry in entries),
+                 ws.count, ws.fail_version]
+        copied = [copy.routes, *copy.routes, copy.links, *copy.links,
+                  *(entry for entries in copy.links for entry in entries),
+                  copy.count, copy.fail_version]
+        assert lists == copied
+        assert not {id(x) for x in lists} & {id(x) for x in copied}
+        assert copy.s is ws.s and copy.version == ws.version
+        assert copy.failures_final == ws.failures_final
+
+    def test_plan_runs_in_order(self):
+        prep = prepare(random_instance(random.Random(71), 6, team_size=2))
+        grid = parameter_grid()
+        plan = _Plan(prep, grid[:3])
+        with pytest.raises(ValueError, match="next triplet"):
+            construct(prep, grid[1], plan)
+        for params in grid[:3]:
+            construct(prep, params, plan)
+        with pytest.raises(ValueError, match="next triplet"):
+            construct(prep, grid[3], plan)
+
+    def test_branch_points_are_deepest_shared_prefixes(self):
+        def common(a, b):
+            k = 0
+            while k < min(len(a), len(b)) and a[k] == b[k]:
+                k += 1
+            return k
+
+        assert _branch_points([[1, 2, 3], [1, 2, 4], [1, 5, 6], [1, 2, 3], [7], [1, 2]]) == [
+            (0, None), (2, 0), (1, 0), (3, 0), (0, None), (2, 0)]
+        rng = random.Random(73)
+        for _ in range(200):
+            orders = [[rng.randint(1, 3) for _ in range(rng.randint(0, 7))]
+                      for _ in range(rng.randint(1, 9))]
+            points = _branch_points(orders)
+            for t, (depth, earlier) in enumerate(points):
+                assert depth == max((common(orders[t], o) for o in orders[:t]), default=0)
+                if depth:
+                    # the earlier order shares the prefix and walks through it
+                    assert earlier < t and common(orders[t], orders[earlier]) == depth
+                    assert points[earlier][0] < depth
+
+    def test_slices_are_contiguous_and_even(self):
+        items = list(range(54))
+        for parts in range(1, 55):
+            runs = _slices(items, parts)
+            assert len(runs) == parts and sum(runs, []) == items
+            assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
 class TestImprove:
     def swap_instance(self, reward_in=10.0, reward_out=30.0):
         # serving both customers is impossible; the outsider is worth a swap
@@ -663,9 +810,9 @@ class TestSolve:
         seen = []
 
         def recorded(fn):
-            def wrapper(prep, arg):
+            def wrapper(prep, arg, *plan):
                 seen.append(prep)
-                return fn(prep, arg)
+                return fn(prep, arg, *plan)
             return wrapper
 
         monkeypatch.setattr(heuristic, "construct", recorded(construct))

@@ -7,6 +7,8 @@ to keep every result can be checked against its parent:
 
 ``--req-seed`` also takes a comma list, ``--req-seed 1,2,3``, and then prints
 the lines of each seed in turn, each in the single-seed format.
+``--workers N`` (default 1) runs each ``solve`` row on a pool of N
+processes; its outputs, and so its digests, must equal the serial ones.
 
 Run it from the root of each checkout; it imports the coptw sources of the
 checkout it lives in.  The rows are the benchmark's own (``build`` and
@@ -40,7 +42,7 @@ import run  # noqa: E402  (perfbench/run.py puts this checkout's src/ on the pat
 from coptw import heuristic, oracle  # noqa: E402
 
 
-def record(workload: str, key: str, inst) -> dict:
+def record(workload: str, key: str, inst, workers: int) -> dict:
     if workload == "oracle":
         result = oracle.exact_solve(inst, oracle.OracleConfig(time_limit=run.ORACLE_LIMIT))
         return {
@@ -50,7 +52,7 @@ def record(workload: str, key: str, inst) -> dict:
             "nodes": result.explored_nodes,
             "proven": result.proven_optimal,
         }
-    result = heuristic.solve(inst, workers=1)
+    result = heuristic.solve(inst, workers=workers)
     return {
         "row": key,
         "triplet_scores": result.triplet_scores,
@@ -77,10 +79,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(run.ROWS), required=True)
     parser.add_argument("--req-seed", type=seeds, default=[1],
                         help="requirement draw seed, or a comma list of seeds")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="processes for each solve row (default 1)")
     args = parser.parse_args(argv)
     for req_seed in args.req_seed:
         rows = run.build(args.workload, req_seed)
-        records = [record(args.workload, key, inst) for key, inst in rows]
+        records = [record(args.workload, key, inst, args.workers) for key, inst in rows]
         label = f"{args.workload} req-seed {req_seed} ({len(rows)} rows)"
         print(f"{sha256(records)}  {label}", flush=True)
         if args.workload == "oracle":
