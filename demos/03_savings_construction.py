@@ -61,12 +61,13 @@ def main():
 
     print("\nfull grid search over all 54 triplets:")
     # a construction's top-up calls follow from its pair list, so solve
-    # plans the grid first and walks each shared prefix of calls once
+    # plans the grid first, walks the triplets in sorted call order and
+    # walks each shared prefix of calls once
     grid = parameter_grid()
     plan = heuristic._Plan(prep, grid)
     alone = sum(len(order) for order in plan.orders)
-    shared = sum(len(order) - depth for order, (depth, _) in zip(plan.orders, plan.resume))
-    assert [construct(prep, p, plan) for p in grid] == [construct(prep, p) for p in grid]
+    shared = sum(len(plan.orders[t]) - depth for t, depth in zip(plan.walks, plan.resume))
+    assert plan.construct_all() == [construct(prep, p) for p in grid]
     print(f"  construction top-ups: {shared} with shared prefixes, {alone} triplet by triplet")
     result = solve(inst)
     print(f"  best score {result.best_score} from {result.best_params}")

@@ -9,7 +9,7 @@ schedule stays feasible for every visit already placed; nothing is ever
 ripped out to make room.  After the pair list is exhausted, vertices that
 never reached their requirement are removed from all routes.
 
-A vertex v that failed is not tried again before that removal.  Until
+A vertex v that failed would fail again before that removal.  Until
 then the routes only gain visits, and a gained visit never lowers a start:
 the detour through it costs at least its service time, which dwarfs the
 rounding of the triangle inequality.  Every slot of the grown routes lies
@@ -17,10 +17,11 @@ between two visits u and w (the depot counts) that were adjacent on its
 route when v failed, so placing v there gives the routing that was
 rejected then, v between u and w, plus visits.  Its starts are no lower,
 so the late start, late return or circular wait that rejected it remains.
-Where some customer's service time is too short for this
-(TravelTimes.monotone), a vertex is retried once anything was placed
-since it failed.  Otherwise its first top-up settles it for the rest of
-the walk, complete or failed, and the walk skips it from then on.
+So under TravelTimes.monotone a vertex's first top-up settles it for the
+rest of the walk, complete or failed, and the walk calls each vertex only
+at its first appearance (_call_orders).  Where some customer's service
+time is too short for this, the walk calls every appearance, and a vertex
+is retried once anything was placed since it failed.
 
 The improvement pass then scans the unvisited vertices (highest reward
 first) and tries to insert each one outright; failing that, it places the
@@ -37,13 +38,14 @@ A full run has two phases.  It first constructs one solution for each of
 the 54 coefficient triplets.  A construction is a sequence of top-ups
 whose vertices its pair list fixes before the walk starts, and the
 workspace after k of them depends only on those k vertices.  So the run
-computes every triplet's call order first, and a triplet whose order
-opens like an earlier triplet's resumes from a copy of the workspace that
-triplet saved at the end of the longest shared prefix (_Plan); each
-distinct prefix is walked once.  Many triplets still reach the same
-routes, so the run then improves each distinct construction once, keyed
-by its routes, and maps the results back onto the grid, keeping the best
-score (earliest triplet wins ties).  In parallel processes the
+computes every triplet's call order first and walks the triplets in
+sorted call order; each walk resumes from a copy of the workspace an
+earlier walk saved at the end of its longest prefix shared with the walk
+before it (_Plan), so each distinct prefix is walked once.  Many
+triplets still reach the same routes, so the run then improves each
+distinct construction once, keyed by its routes, and maps the results
+back onto the grid, keeping the best score (earliest triplet wins
+ties).  In parallel processes the
 construction phase splits the grid into contiguous runs of triplets, one
 per process, each planned on its own; the improvements are independent
 calls.  Neither changes the result.  All read the distances, arcs, travel
@@ -56,7 +58,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -113,12 +114,8 @@ class _Workspace:
 
     `version` increments on every committed change, and
     `fail_version[v]` is the version at which top_up last failed on v.  A
-    retry at the same version fails at once.  So does any retry while
-    `failures_final` holds: it starts as TravelTimes.monotone, and while no
-    visit was removed the routes have only grown since the failure, so
-    every slot fails again (module docstring).  The first `drop` clears it
-    for good, since a removal can lower starts, and `from_solution` starts
-    without it; from then on a retry after any change tries every slot.
+    retry at the same version fails at once; a retry after any change
+    tries every slot.
     """
 
     def __init__(self, prep: Prepared):
@@ -132,7 +129,6 @@ class _Workspace:
         self.s = list(self.tt.open)
         self.version = 0
         self.fail_version = [-1] * self.tt.n
-        self.failures_final = self.tt.monotone
 
     @classmethod
     def from_solution(cls, prep: Prepared, solution: Solution) -> "_Workspace":
@@ -149,7 +145,6 @@ class _Workspace:
         ws.count = solution.visit_counts(ws.tt.n)
         ws.s = s
         ws._index()
-        ws.failures_final = False
         return ws
 
     def copy(self) -> "_Workspace":
@@ -164,7 +159,6 @@ class _Workspace:
         ws.s = self.s
         ws.version = self.version
         ws.fail_version = list(self.fail_version)
-        ws.failures_final = self.failures_final
         return ws
 
     def to_solution(self) -> Solution:
@@ -227,7 +221,6 @@ class _Workspace:
         self.links[v] = []
         self.count[v] = 0
         self.version += 1  # invalidate failure caches
-        self.failures_final = False  # starts may fall now
 
     # -- candidate generation -------------------------------------------------
 
@@ -312,8 +305,7 @@ class _Workspace:
             return False
         if self.count[v] >= r:
             return True
-        failed = self.fail_version[v]
-        if failed == self.version or failed >= 0 and self.failures_final:
+        if self.fail_version[v] == self.version:
             return False
         while self.count[v] < r:
             if not self.try_place_one(v):
@@ -448,43 +440,21 @@ class _Workspace:
         self.s = s
 
 
-def _branch_points(orders: list[list[int]]) -> list[tuple[int, int | None]]:
-    """For each order, (depth, earlier): the length of the longest prefix
-    it shares with an earlier order, and an earlier order that reaches
-    it through its own walk; (0, None) when no earlier order starts alike.
-
-    The orders go into a path-compressed trie.  A node is [owner, depth,
-    children]; its edge is the owner's order from the parent's depth to
-    its own, and the owner is the order that added the edge.  Each order
-    compares each of its entries at most once, so the cost is linear in
-    the total length.  An order adds edges only from its own branch depth
-    on, so the earlier order named branched off above the shared depth and
-    walks through it itself."""
-    root: dict[int, list] = {}
-    points = []
-    for t, order in enumerate(orders):
-        n = len(order)
-        depth, owner, children = 0, None, root
-        while depth < n:
-            child = children.get(order[depth])
-            if child is None:
-                children[order[depth]] = [t, n, {}]
-                break
-            owner, end, below = child
-            ref = orders[owner]
-            k = depth + 1
-            while k < end and k < n and ref[k] == order[k]:
-                k += 1
-            if k < end:  # the orders part inside the edge: split it there
-                fork = [owner, k, {ref[k]: child}]
-                children[order[depth]] = fork
-                if k < n:
-                    fork[2][order[k]] = [t, n, {}]
-                depth = k
-                break
-            depth, children = end, below
-        points.append((depth, owner))
-    return points
+def _call_orders(prep: Prepared, grid: list[SavingParams]) -> list[list[int]]:
+    """Per triplet, the vertices construct tops up, in call order: both
+    ends of every saving pair, then every customer by reward, so a vertex
+    in no feasible pair (isolated but depot-reachable, or a lone customer)
+    still gets an attempt.  Under TravelTimes.monotone the walk removes
+    nothing, so a vertex's first top_up settles it, complete or failed
+    until the walk ends (module docstring): only first appearances are
+    called."""
+    tt = prep.tt
+    by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
+    orders = []
+    for params in grid:
+        walk = chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward)
+        orders.append(list(dict.fromkeys(walk)) if tt.monotone else list(walk))
+    return orders
 
 
 class _Plan:
@@ -492,57 +462,66 @@ class _Plan:
 
     construct's workspace after k top_up calls depends only on the k
     vertices called, so triplets whose call orders agree for k calls share
-    that state exactly.  Each triplet resumes from the deepest state an
-    earlier triplet of the run reached (_branch_points); that earlier
-    triplet saves a copy of its workspace there.  The last triplet to
-    resume from a saved copy takes it, the others copy it, so no two
-    walks ever share a mutable list.
+    that state exactly.  The run walks the triplets in sorted call order
+    (`walks`), so each walk's longest prefix shared with any earlier walk
+    is the one it shares with the walk just before it (`resume`).  A walk
+    saves a copy of its workspace on a stack at each depth where a later
+    walk resumes on its path: those deeper than its own start and
+    shallower than every resumption in between.  A resuming walk takes
+    the stacked state, or copies it if a later walk resumes at the same
+    depth, so no two walks ever share a mutable list.
 
     construct(prep, params, plan) must be called for the run's triplets in
-    run order."""
+    walk order, as construct_all does."""
 
     def __init__(self, prep: Prepared, grid: list[SavingParams]):
-        tt = prep.tt
-        # every customer, best reward first, ends each walk: a vertex in no
-        # feasible pair (isolated but depot-reachable, or a lone customer)
-        # still gets an attempt
-        by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
-        self.orders = []  # per triplet, the vertices its walk tops up in call order
-        for params in grid:
-            walk = chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward)
-            # while failures are final (TravelTimes.monotone) the walk drops
-            # nothing, so a vertex's first top_up settles it, complete or
-            # failed until the walk ends: only first appearances are called
-            self.orders.append(list(dict.fromkeys(walk)) if tt.monotone else list(walk))
         self.prep = prep
         self.grid = grid
-        self.resume = _branch_points(self.orders)
-        # (saver, depth) -> triplets still to resume there
-        self.users = Counter((saver, depth) for depth, saver in self.resume if depth)
-        self.saves: list[list[int]] = [[] for _ in grid]  # depths each triplet saves at
-        for saver, depth in sorted(self.users):
-            self.saves[saver].append(depth)
-        self.saved: dict[tuple[int, int], _Workspace] = {}
-        self.next = 0  # the triplet construct builds next
+        self.orders = _call_orders(prep, grid)
+        self.walks = sorted(range(len(grid)), key=self.orders.__getitem__)
+        self.resume = [0]  # per walk, the depth it resumes at
+        for a, b in zip(self.walks, self.walks[1:]):
+            prev, order = self.orders[a], self.orders[b]
+            k = 0
+            while k < len(order) and k < len(prev) and order[k] == prev[k]:
+                k += 1
+            self.resume.append(k)
+        self.stack: list[tuple[int, _Workspace]] = []  # saved (depth, state), deepest last
+        self.next = 0  # the walk construct runs next
 
     def start(self, params: SavingParams):
-        """The next triplet's workspace, call order, resumption depth and
-        save depths."""
-        t = self.next
-        if t == len(self.grid) or self.grid[t] != params:
+        """The next walk's workspace, call order, resumption depth and save
+        depths."""
+        i = self.next
+        if i == len(self.walks) or self.grid[self.walks[i]] != params:
             raise ValueError(f"{params} is not the plan's next triplet")
-        self.next = t + 1
-        depth, saver = self.resume[t]
+        self.next = i + 1
+        depth = self.resume[i]
+        later = self.resume[i + 1:]
         if not depth:
             ws = _Workspace(self.prep)
+        elif next((d for d in later if d <= depth), 0) == depth:
+            ws = self.stack[-1][1].copy()  # a later walk resumes here too
         else:
-            key = (saver, depth)
-            self.users[key] -= 1
-            ws = self.saved[key].copy() if self.users[key] else self.saved.pop(key)
-        return ws, self.orders[t], depth, self.saves[t]
+            ws = self.stack.pop()[1]
+        saves = []  # deepest first
+        for d in later:
+            if d <= depth:
+                break
+            if not saves or d < saves[-1]:
+                saves.append(d)
+        return ws, self.orders[self.walks[i]], depth, saves[::-1]
 
     def save(self, ws: _Workspace, depth: int) -> None:
-        self.saved[self.next - 1, depth] = ws.copy()
+        self.stack.append((depth, ws.copy()))
+
+    def construct_all(self) -> list[Solution]:
+        """Construct every triplet in walk order; the results in grid
+        order."""
+        built = [None] * len(self.grid)
+        for t in self.walks:
+            built[t] = construct(self.prep, self.grid[t], self)
+        return built
 
 
 def construct(prep: Prepared, params: SavingParams, plan: _Plan | None = None) -> Solution:
@@ -555,7 +534,7 @@ def construct(prep: Prepared, params: SavingParams, plan: _Plan | None = None) -
     solution.
 
     With the `plan` of a run of triplets (solve passes one) the walk
-    resumes from the state an earlier triplet saved and saves the states
+    resumes from the state an earlier walk saved and saves the states
     later ones resume from; the result is the same.  Without one, the
     triplet is planned alone.
     """
@@ -620,9 +599,9 @@ def _slices(items: list, parts: int) -> list[list]:
 
 
 def _construct_run(grid: list[SavingParams]) -> list[Solution]:
-    """Construct a run of triplets in order, planned together."""
-    plan = _Plan(_shared, grid)
-    return [construct(_shared, params, plan) for params in grid]
+    """Construct a run of triplets, planned together; the results in grid
+    order."""
+    return _Plan(_shared, grid).construct_all()
 
 
 def _improve_one(solution: Solution) -> Solution:
@@ -634,16 +613,17 @@ def solve(instance: Instance | Prepared, workers: int = 1) -> SolverResult:
     construction once and keep the best solution.
 
     Phase 1 plans the grid's walks together (_Plan) and calls `construct`
-    for every triplet in grid order, each resuming from the deepest state
-    an earlier triplet shares with it.  Phase 2 calls `improve` once per
-    distinct construction, in first-seen grid order.  The key is the
-    routes, member order included; it is exact because a solution is its
-    routes and `improve` is deterministic.  Each triplet then takes the
-    improved result of its construction, so `triplet_scores` has one entry
-    per triplet and the earliest triplet wins ties.  With `workers` above 1
-    both phases run on one process pool, which changes nothing but the
-    wall time: phase 1 maps one contiguous run of the grid to each
-    process, planned within that run, and phase 2 maps the constructions.
+    once per triplet in sorted call order, each resuming from the deepest
+    state an earlier walk shares with it, and keeps the results in grid
+    order.  Phase 2 calls `improve` once per distinct construction, in
+    first-seen grid order.  The key is the routes, member order included;
+    it is exact because a solution is its routes and `improve` is
+    deterministic.  Each triplet then takes the improved result of its
+    construction, so `triplet_scores` has one entry per triplet and the
+    earliest triplet wins ties.  With `workers` above 1 both phases run on
+    one process pool, which changes nothing but the wall time: phase 1
+    maps one contiguous run of the grid to each process, planned within
+    that run, and phase 2 maps the constructions.
     One Prepared instance is shared by every call; a pool receives it once
     per worker, through its initializer, and each task carries only its
     triplets or construction.  `instance` may be that Prepared instance

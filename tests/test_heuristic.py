@@ -22,7 +22,7 @@ from coptw import (
     truncate,
 )
 from coptw import heuristic, savings
-from coptw.heuristic import _branch_points, _Plan, _pool_size, _slices, _Workspace
+from coptw.heuristic import _call_orders, _Plan, _pool_size, _slices, _Workspace
 from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan, TravelTimes
 
@@ -245,15 +245,15 @@ def full_relaxation(prep):
 
 @pytest.fixture
 def retries(monkeypatch):
-    """Every try_place_one call as (final, retry, placed): `final` is the
-    workspace's failures_final, `retry` whether v had failed on it before."""
+    """Every try_place_one call as (retry, placed): `retry` whether v had
+    failed on the workspace before."""
     calls = []
     try_place_one = _Workspace.try_place_one
 
     def recorded(ws, v):
-        final, retry = ws.failures_final, ws.fail_version[v] >= 0
+        retry = ws.fail_version[v] >= 0
         placed = try_place_one(ws, v)
-        calls.append((final, retry, placed))
+        calls.append((retry, placed))
         return placed
 
     monkeypatch.setattr(_Workspace, "try_place_one", recorded)
@@ -262,8 +262,8 @@ def retries(monkeypatch):
 
 class TestRetry:
     """While the routes only grow and every service time clears the
-    rounding margin, a vertex that failed is not tried again; otherwise it
-    is retried once anything changed."""
+    rounding margin, a vertex that failed fails again, so construct's walk
+    calls it once; otherwise it is retried once anything changed."""
 
     def test_failure_is_final_while_routes_grow(self):
         # a full-retry workspace (monotone forced off) must reach the same
@@ -336,38 +336,38 @@ class TestRetry:
                           for v, r in zip(inst.vertices[1:], inst.requirements[1:])]
         inst = make_instance(customers, team_size=3, t_max=400.0)
         prep = prepare(inst)
-        assert not _Workspace(prep).failures_final
+        assert not prep.tt.monotone
         for params in parameter_grid()[:6]:
             construct(prep, params)
-        assert any(retry for _, retry, _ in retries)
-        assert not any(final for final, _, _ in retries)
+        assert any(retry for retry, _ in retries)
 
     def test_removal_and_from_solution_retry(self, data_dir, retries):
         inst = desk_row(data_dir)
         prep = prepare(inst)
-        params = parameter_grid()[0]
+        # construct's walk calls each vertex once on this monotone row, so
+        # only a second walk, after the removal, retries
+        [order] = _call_orders(prep, parameter_grid()[:1])
         ws = _Workspace(prep)
-        assert ws.failures_final
-        walk(ws, prep, params)
+        for v in order:
+            ws.top_up(v)
         assert max(ws.fail_version) >= 0
-        assert not any(retry for _, retry, _ in retries)
+        assert not any(retry for retry, _ in retries)
         ws.remove_vertices({next(v for route in ws.routes for v in route)})
-        assert not ws.failures_final
         start = len(retries)
-        walk(ws, prep, params)
-        assert any(retry for _, retry, _ in retries[start:])
+        for v in order:
+            ws.top_up(v)
+        assert any(retry for retry, _ in retries[start:])
         # rebuilt without one served vertex x: the vertices that fail now
         # are tried again once x is back
         x = next(v for route in ws.routes for v in route)
         rest = Solution([[v for v in route if v != x] for route in ws.routes])
         again = _Workspace.from_solution(prep, rest)
-        assert not again.failures_final
         failed = [v for v in range(1, inst.n_vertices) if v != x and not again.top_up(v)]
         assert failed and again.top_up(x)
         start = len(retries)
         for v in failed:
             again.top_up(v)
-        assert retries[start:] and all(retry and not final for final, retry, _ in retries[start:])
+        assert retries[start:] and all(retry for retry, _ in retries[start:])
 
 
 class TestDecidedMoves:
@@ -465,21 +465,16 @@ class TestDecidedMoves:
 
 
 class TestSharedPrefixes:
-    """solve plans the grid's walks together: each triplet resumes from the
-    deepest state an earlier triplet reached, and gets the result of its own
-    walk."""
-
-    @staticmethod
-    def planned(prep, grid):
-        plan = _Plan(prep, grid)
-        return [construct(prep, params, plan) for params in grid], plan
+    """solve plans the grid's walks together: each walk resumes from the
+    deepest state an earlier walk reached, and each triplet gets the result
+    of its own walk."""
 
     def assert_planned_equals_standalone(self, prep, rng):
         grid = parameter_grid()
         for order in (grid, rng.sample(grid, len(grid))):
-            built, plan = self.planned(prep, order)
-            assert built == [construct(prep, params) for params in order]
-            assert not plan.saved  # every saved copy was used and dropped
+            plan = _Plan(prep, order)
+            assert plan.construct_all() == [construct(prep, params) for params in order]
+            assert not plan.stack  # every saved copy was used and dropped
         return plan
 
     @pytest.mark.parametrize("service", [3.0, 8.0, 0.0, 1e-12])
@@ -494,7 +489,7 @@ class TestSharedPrefixes:
             prep = prepare(inst)
             assert prep.tt.monotone is (service > 1e-9)
             plan = self.assert_planned_equals_standalone(prep, rng)
-            shared += sum(depth for depth, _ in plan.resume)
+            shared += sum(plan.resume)
             if not prep.tt.monotone:
                 assert all(len(order) > len(set(order)) for order in plan.orders)
         assert shared
@@ -517,7 +512,7 @@ class TestSharedPrefixes:
             construct(prep, params)
             orders.append(tuple(calls))
         del calls[:]
-        self.planned(prep, grid)
+        _Plan(prep, grid).construct_all()
         prefixes = {order[:k] for order in orders for k in range(1, len(order) + 1)}
         assert len(calls) == len(prefixes) < sum(map(len, orders))
 
@@ -550,9 +545,9 @@ class TestSharedPrefixes:
             prep = prepare(inst)
             grid = parameter_grid()
             plan = _Plan(prep, grid)
-            assert any(depth for depth, _ in plan.resume)
-            for params in grid:
-                assert construct(prep, params, plan) == construct(prep, params)
+            assert any(plan.resume)
+            for t in plan.walks:
+                assert construct(prep, grid[t], plan) == construct(prep, grid[t])
                 vandalize(resumed[-1])
 
     def test_copy_shares_no_mutable_list(self, data_dir):
@@ -569,39 +564,63 @@ class TestSharedPrefixes:
         assert lists == copied
         assert not {id(x) for x in lists} & {id(x) for x in copied}
         assert copy.s is ws.s and copy.version == ws.version
-        assert copy.failures_final == ws.failures_final
 
     def test_plan_runs_in_order(self):
         prep = prepare(random_instance(random.Random(71), 6, team_size=2))
         grid = parameter_grid()
         plan = _Plan(prep, grid[:3])
+        walked = [grid[t] for t in plan.walks]
         with pytest.raises(ValueError, match="next triplet"):
-            construct(prep, grid[1], plan)
-        for params in grid[:3]:
+            construct(prep, walked[1], plan)
+        for params in walked:
             construct(prep, params, plan)
         with pytest.raises(ValueError, match="next triplet"):
             construct(prep, grid[3], plan)
 
-    def test_branch_points_are_deepest_shared_prefixes(self):
+    def test_plan_against_brute_force(self, monkeypatch):
+        # synthetic call orders (random ones over vertices 1-3) with
+        # repeats, empty and identical orders and orders that are prefixes
+        # of others
         def common(a, b):
             k = 0
             while k < min(len(a), len(b)) and a[k] == b[k]:
                 k += 1
             return k
 
-        assert _branch_points([[1, 2, 3], [1, 2, 4], [1, 5, 6], [1, 2, 3], [7], [1, 2]]) == [
-            (0, None), (2, 0), (1, 0), (3, 0), (0, None), (2, 0)]
+        calls = []
+        top_up = _Workspace.top_up
+
+        def counted(ws, v):
+            calls.append(v)
+            return top_up(ws, v)
+
+        given = {}  # triplet -> its call order
+        monkeypatch.setattr(heuristic, "_call_orders",
+                            lambda prep, grid: [list(given[params]) for params in grid])
+        monkeypatch.setattr(_Workspace, "top_up", counted)
         rng = random.Random(73)
-        for _ in range(200):
-            orders = [[rng.randint(1, 3) for _ in range(rng.randint(0, 7))]
-                      for _ in range(rng.randint(1, 9))]
-            points = _branch_points(orders)
-            for t, (depth, earlier) in enumerate(points):
-                assert depth == max((common(orders[t], o) for o in orders[:t]), default=0)
-                if depth:
-                    # the earlier order shares the prefix and walks through it
-                    assert earlier < t and common(orders[t], orders[earlier]) == depth
-                    assert points[earlier][0] < depth
+        prep = prepare(random_instance(rng, 5, team_size=2, r_max=2, service=0.0))
+        fixed = [[1, 2, 3], [1, 2, 4], [1, 5, 3], [1, 2, 3], [5], [1, 2], [], [2, 2, 1, 2]]
+        for trial in range(200):
+            if trial:
+                orders = [[rng.randint(1, 3) for _ in range(rng.randint(0, 7))]
+                          for _ in range(rng.randint(1, 9))]
+                orders += rng.sample(orders, rng.randint(0, len(orders)))  # identical
+                orders += [order[:rng.randint(0, len(order))] for order in orders[:2]]
+            else:
+                orders = fixed
+            grid = rng.sample(parameter_grid(), len(orders))
+            given = dict(zip(grid, orders))
+            plan = _Plan(prep, grid)
+            del calls[:]
+            built = plan.construct_all()
+            prefixes = {tuple(order[:k]) for order in orders for k in range(1, len(order) + 1)}
+            assert len(calls) == len(prefixes)
+            walked = [orders[t] for t in plan.walks]
+            for i, depth in enumerate(plan.resume):
+                assert depth == max((common(walked[i], o) for o in walked[:i]), default=0)
+            assert not plan.stack
+            assert built == [construct(prep, params) for params in grid]
 
     def test_slices_are_contiguous_and_even(self):
         items = list(range(54))
@@ -764,11 +783,12 @@ class TestSolve:
 
     def test_improve_runs_once_per_distinct_construction(self, data_dir, monkeypatch):
         inst = desk_row(data_dir)
-        built, improved = [], []
+        grid = parameter_grid()
+        built, improved = {}, []  # grid index -> construction; improved in call order
 
-        def counted_construct(*args):
-            sol = construct(*args)
-            built.append(routes_key(sol))
+        def counted_construct(prep, params, *plan):
+            sol = construct(prep, params, *plan)
+            built[grid.index(params)] = routes_key(sol)
             return sol
 
         def counted_improve(prep, solution):
@@ -779,8 +799,9 @@ class TestSolve:
         monkeypatch.setattr(heuristic, "improve", counted_improve)
         solve(inst)
         assert len(built) == 54
-        assert improved == list(dict.fromkeys(built))  # first-seen grid order
-        assert len(improved) < len(built)
+        keys = [built[t] for t in range(54)]
+        assert improved == list(dict.fromkeys(keys))  # first-seen grid order
+        assert len(improved) < len(keys)
 
     def test_parallel_equals_serial(self, data_dir):
         # the desk row repeats constructions, so the pool's second phase
