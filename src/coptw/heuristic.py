@@ -82,11 +82,14 @@ class SolverResult:
 class Prepared(NamedTuple):
     """What every construct and improve call on one instance reads: the
     instance (for its team size), its travel times, the arc-feasibility
-    matrix and distances as nested lists, and the saving terms."""
+    matrix by rows (`feas[u][v]`, arc u -> v) and by columns
+    (`into[v][u] == feas[u][v]`, the arcs entering v), the distances as
+    nested lists, and the saving terms."""
 
     instance: Instance
     tt: TravelTimes
     feas: list[list[bool]]
+    into: list[list[bool]]
     dist: list[list[float]]
     terms: SavingTerms
 
@@ -96,14 +99,16 @@ def prepare(instance: Instance) -> Prepared:
     once, for any number of construct and improve calls."""
     d = build_distance_matrix(instance)
     feasible = build_arc_set(instance, d)
-    return Prepared(instance, TravelTimes(instance, d), feasible.tolist(), d.tolist(),
-                    saving_terms(instance, d, feasible))
+    return Prepared(instance, TravelTimes(instance, d), feasible.tolist(),
+                    feasible.T.tolist(), d.tolist(), saving_terms(instance, d, feasible))
 
 
 class _Workspace:
     """Mutable routes, visit counts, a member index and the current
     start-time fixed point over one Prepared instance, whose lists it
-    reads and never copies.
+    reads and never copies.  The slot scans read one arc row per side of
+    the new visit v: `into[v]` for the arcs u -> v and `feas[v]` for the
+    arcs v -> w.
 
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
@@ -121,6 +126,7 @@ class _Workspace:
     def __init__(self, prep: Prepared):
         self.tt = prep.tt
         self.feas = prep.feas
+        self.into = prep.into
         self.dist = prep.dist
         self.team_size = prep.instance.team_size
         self.routes: list[list[int]] = [[] for _ in range(self.team_size)]
@@ -152,7 +158,8 @@ class _Workspace:
         rebuilt from the copied routes, since _relink edits its entries in
         place; `s` is shared, since it is only ever replaced."""
         ws = _Workspace.__new__(_Workspace)
-        ws.tt, ws.feas, ws.dist, ws.team_size = self.tt, self.feas, self.dist, self.team_size
+        ws.tt, ws.feas, ws.into, ws.dist = self.tt, self.feas, self.into, self.dist
+        ws.team_size = self.team_size
         ws.routes = [list(route) for route in self.routes]
         ws._index()
         ws.count = list(self.count)
@@ -224,16 +231,23 @@ class _Workspace:
 
     # -- candidate generation -------------------------------------------------
 
-    def _slots(self, v: int, ends: bool):
-        """Yield (delta, m, pos) slots for one more visit of v, cheapest added
-        distance first: the route heads and tails when `ends`, else the
-        interior positions.  A slot needs both arcs u -> v -> w valid, v
-        reachable by its close from u's current start, and w (the depot at
-        a tail) still reachable by its close after serving v.  These floors
-        bound the first two starts insert_starts computes from below, in the
-        same float order, so a slot they drop is one it would reject."""
-        feas = self.feas
+    def _slots(self, v: int, ends: bool) -> list[tuple[float, int, int]]:
+        """The (delta, m, pos) slots for one more visit of v, cheapest added
+        distance first: the route heads and tails when `ends` (one empty
+        route stands for all of them), else the interior positions.
+
+        Each route is walked as its gaps (u, w): u the visit before pos and
+        w the one at it, the depot at either end.  A gap is tested first on
+        v's two arc rows, `into[v][u]` for u -> v and `feas[v][w]` for
+        v -> w.  Then come two start floors: v reachable by its close from
+        u's current start, and w (the depot at a tail) still reachable by
+        its close after serving v.  They bound the first two starts
+        insert_starts computes from below, in the same float order, so a
+        slot they drop is one it would reject."""
+        into_v = self.into[v]
+        feas_v = self.feas[v]
         dist = self.dist
+        dist_v = dist[v]
         s = self.s
         tt = self.tt
         dur = tt.dur
@@ -243,37 +257,54 @@ class _Workspace:
         s_v = s[v]
         dur_v = dur[v]
         t_v = t[v]
-        feas_v = feas[v]
-        dist_v = dist[v]
+        links_v = self.links[v]
+        taken = {entry[0] for entry in links_v} if links_v else ()
         slots = []
-        empty_seen = False
-        taken = {m for m, _, _ in self.links[v]}
-        for m, route in enumerate(self.routes):
-            if m in taken:
-                continue
-            n = len(route)
-            if not ends:
-                positions = range(1, n)
-            elif n:
-                positions = (0, n)
-            elif empty_seen:
-                continue  # empty routes are interchangeable
-            else:
-                empty_seen = True
-                positions = (0,)
-            for pos in positions:
-                u = route[pos - 1] if pos else 0
-                w = route[pos] if pos < n else 0
-                if not feas[u][v] or not feas_v[w]:
+        if ends:
+            # u is the depot at every head, so v's arrival and departure
+            # there are the same on every route
+            arr = t[0][v]
+            head = into_v[0] and arr <= close_v
+            depart = (arr if arr > s_v else s_v) + dur_v
+            tail = feas_v[0]
+            t_v0 = t_v[0]
+            dist_0 = dist[0]
+            dist_v0 = dist_v[0]
+            close_0 = close[0]
+            empty_seen = False
+            for m, route in enumerate(self.routes):
+                if m in taken:
                     continue
-                arr = (s[u] + dur[u] if u else 0.0) + t[u][v]
-                if arr > close_v:
+                if not route:
+                    if head and tail and not empty_seen and depart + t_v0 <= close_0:
+                        slots.append((dist_0[v] + dist_v0 - dist_0[0], m, 0))
+                    empty_seen = True  # empty routes are interchangeable
                     continue
-                if (arr if arr > s_v else s_v) + dur_v + t_v[w] > close[w]:
+                w = route[0]
+                if head and feas_v[w] and depart + t_v[w] <= close[w]:
+                    slots.append((dist_0[v] + dist_v[w] - dist_0[w], m, 0))
+                u = route[-1]
+                if tail and into_v[u]:
+                    arr = s[u] + dur[u] + t[u][v]
+                    start = arr if arr > s_v else s_v
+                    if arr <= close_v and start + dur_v + t_v0 <= close_0:
+                        slots.append((dist[u][v] + dist_v0 - dist[u][0], m, len(route)))
+        else:
+            for m, route in enumerate(self.routes):
+                if m in taken or not route:
                     continue
-                slots.append((dist[u][v] + dist_v[w] - dist[u][w], m, pos))
+                u = route[0]
+                for w in route[1:]:
+                    if into_v[u] and feas_v[w]:
+                        arr = s[u] + dur[u] + t[u][v]
+                        start = arr if arr > s_v else s_v
+                        if arr <= close_v and start + dur_v + t_v[w] <= close[w]:
+                            # a route visits w once, so its index is the slot's pos
+                            slots.append((dist[u][v] + dist_v[w] - dist[u][w], m,
+                                          route.index(w)))
+                    u = w
         slots.sort()
-        yield from slots
+        return slots
 
     # -- feasibility-gated insertion ------------------------------------------
 
@@ -335,32 +366,41 @@ class _Workspace:
 
     def force_place(self, v: int) -> bool:
         """Insert all of v's member visits at the cheapest arc-valid slots,
-        ignoring the schedule.  Returns False when the routes cannot host
-        them at all (caller drops v)."""
-        r = self.tt.req[v]
-        feas = self.feas
-        feas_v = feas[v]
+        ignoring the schedule.  Returns False, with nothing placed, when
+        the routes cannot host them all (caller drops v).
+
+        Each route is walked once, as its gaps (u, w) like _slots, for its
+        cheapest gap (the first on ties).  Placing v changes only its own
+        route, which v then occupies, so visit k goes to the k-th cheapest
+        of these in (delta, m) order: the choice of a rescan after each
+        placement, where the first cheapest in (m, pos) order wins."""
+        into_v = self.into[v]
+        feas_v = self.feas[v]
         dist = self.dist
         dist_v = dist[v]
-        for _ in range(r):
+        links_v = self.links[v]
+        taken = {entry[0] for entry in links_v} if links_v else ()
+        bests = []  # per route, (delta, m, w) of its cheapest gap
+        for m, route in enumerate(self.routes):
+            if m in taken:
+                continue
             best = None
-            taken = {m for m, _, _ in self.links[v]}
-            for m, route in enumerate(self.routes):
-                if m in taken:
-                    continue
-                u = 0
-                for pos, w in enumerate([*route, 0]):
-                    # positions come in ascending (m, pos), so the first
-                    # cheapest one wins ties
-                    if feas[u][v] and feas_v[w]:
-                        delta = dist[u][v] + dist_v[w] - dist[u][w]
-                        if best is None or delta < best[0]:
-                            best = (delta, m, pos)
-                    u = w
-            if best is None:
-                return False
-            _, m, pos = best
-            self._place(m, pos, v)
+            u = 0
+            for w in [*route, 0]:
+                if into_v[u] and feas_v[w]:
+                    delta = dist[u][v] + dist_v[w] - dist[u][w]
+                    if best is None or delta < best[0]:
+                        best = (delta, m, w)
+                u = w
+            if best is not None:
+                bests.append(best)
+        r = self.tt.req[v]
+        if len(bests) < r:
+            return False
+        bests.sort()  # m is unique, so w never decides the order
+        for _, m, w in bests[:r]:
+            route = self.routes[m]
+            self._place(m, route.index(w) if w else len(route), v)
         return True
 
     def _doomed(self, v: int) -> bool:

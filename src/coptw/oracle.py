@@ -90,8 +90,7 @@ class _Search:
         )
         # a customer no feasible arc enters is never appended by _extend;
         # dropping it tightens the bound and stays admissible
-        self.bound_candidates = [v for v in self.branch_order
-                                 if any(row[v] for row in self.feas)]
+        self.bound_candidates = [v for v in self.branch_order if any(prep.into[v])]
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before
         # its current tail does, up to the rounding this margin absorbs

@@ -224,6 +224,114 @@ class TestConstruct:
         assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
         assert ws._try_slot(0, 0, 1)[2] == 12.0
 
+    @pytest.mark.parametrize("service", [0.0, 1e-12, 3.0, 8.0])
+    def test_slot_scans_match_brute_force(self, service):
+        rng = random.Random(int(service * 10) + 41)
+        checked = 0
+        for _ in range(8):
+            team_size = rng.randint(2, 4)
+            inst = random_instance(rng, rng.randint(4, 10), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([30.0, 80.0]),
+                                   service=service)
+            checked += check_slot_scans(inst, rng)
+        assert checked > 0
+
+    def test_slot_scans_match_brute_force_coincident_points(self):
+        # six customers on two points: equal added distances everywhere,
+        # so (m, pos) decides every tie.  Customer 6 opens too late to get
+        # back to the depot, so no arc enters it, yet the start floors pass
+        # between two customers on its point: only the arc row drops it.
+        inst = make_instance(
+            [(10.0, 0.0, 2.0, 10.0, 0.0, 400.0, 2), (10.0, 0.0, 2.0, 20.0, 0.0, 400.0, 3),
+             (10.0, 0.0, 2.0, 20.0, 0.0, 400.0, 1), (0.0, 10.0, 2.0, 5.0, 0.0, 300.0, 2),
+             (0.0, 10.0, 2.0, 5.0, 0.0, 300.0, 3), (10.0, 0.0, 2.0, 50.0, 395.0, 400.0, 1)],
+            team_size=3, t_max=400.0)
+        assert not any(prepare(inst).into[6])
+        assert check_slot_scans(inst, random.Random(3)) > 0
+
+
+def reference_slots(ws, v, ends):
+    """_slots by brute force: every (m, pos) of every route without v,
+    tested through feas[u][v], with the two start floors, the heads and
+    tails apart from the interiors and only the first empty route, sorted
+    by (delta, m, pos)."""
+    tt, s, feas, dist = ws.tt, ws.s, ws.feas, ws.dist
+    slots = []
+    empty_seen = False
+    for m, route in enumerate(ws.routes):
+        if v in route:
+            continue
+        n = len(route)
+        if not ends:
+            positions = range(1, n)
+        elif n:
+            positions = (0, n)
+        elif empty_seen:
+            continue
+        else:
+            empty_seen = True
+            positions = (0,)
+        for pos in positions:
+            u = route[pos - 1] if pos else 0
+            w = route[pos] if pos < n else 0
+            if not (feas[u][v] and feas[v][w]):
+                continue
+            arr = (s[u] + tt.dur[u] if u else 0.0) + tt.t[u][v]
+            if arr > tt.close[v]:
+                continue
+            if max(arr, s[v]) + tt.dur[v] + tt.t[v][w] > tt.close[w]:
+                continue
+            slots.append((dist[u][v] + dist[v][w] - dist[u][w], m, pos))
+    return sorted(slots)
+
+
+def reference_force_place(ws, v):
+    """force_place by brute force: each of v's visits at the first
+    cheapest arc-valid (m, pos) of a route without v, rescanning after
+    each placement.  None when some visit finds no position."""
+    routes = [list(route) for route in ws.routes]
+    feas, dist = ws.feas, ws.dist
+    for _ in range(ws.tt.req[v]):
+        best = None
+        for m, route in enumerate(routes):
+            if v in route:
+                continue
+            for pos in range(len(route) + 1):
+                u = route[pos - 1] if pos else 0
+                w = route[pos] if pos < len(route) else 0
+                if feas[u][v] and feas[v][w]:
+                    delta = dist[u][v] + dist[v][w] - dist[u][w]
+                    if best is None or delta < best[0]:
+                        best = (delta, m, pos)
+        if best is None:
+            return None
+        routes[best[1]].insert(best[2], v)
+    return routes
+
+
+def check_slot_scans(inst, rng):
+    """Compare _slots (both passes) and force_place with their brute-force
+    references on workspaces part-way through a construction walk, where
+    some vertices already have visits (a failed top-up leaves them until
+    the clean-up).  Returns how many of the checked vertices already had
+    visits."""
+    prep = prepare(inst)
+    order = _call_orders(prep, [SavingParams(0.7, 0.7, 0.7)])[0]
+    visited = 0
+    for depth in sorted({0, 1, len(order) // 2, len(order), rng.randint(0, len(order))}):
+        ws = _Workspace(prep)
+        for v in order[:depth]:
+            ws.top_up(v)
+        for v in range(1, inst.n_vertices):
+            visited += ws.count[v] > 0
+            for ends in (True, False):
+                assert ws._slots(v, ends) == reference_slots(ws, v, ends)
+            forced = ws.copy()
+            expected = reference_force_place(ws, v)
+            assert forced.force_place(v) == (expected is not None)
+            assert forced.routes == (ws.routes if expected is None else expected)
+    return visited
+
 
 def walk(ws, prep, params):
     """construct's top-up walk on a given workspace, without the clean-up."""
@@ -841,9 +949,14 @@ class TestSolve:
         solve(desk_row(data_dir), workers=1)
         prep = seen[0]
         assert len(seen) > 54 and all(other is prep for other in seen)
+        assert prep.into == [list(column) for column in zip(*prep.feas)]
         built = construct(prep, parameter_grid()[0])
-        for ws in (_Workspace(prep), _Workspace.from_solution(prep, built)):
+        fresh = _Workspace(prep)
+        for ws in (fresh, _Workspace.from_solution(prep, built), fresh.copy()):
             assert ws.tt is prep.tt and ws.feas is prep.feas and ws.dist is prep.dist
+            assert ws.into is prep.into
+        relaxed = full_relaxation(prep)
+        assert not relaxed.tt.monotone and relaxed.into is prep.into
 
     def test_pool_never_exceeds_tasks_or_cpus(self):
         cpus = os.cpu_count() or 1
