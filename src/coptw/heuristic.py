@@ -9,30 +9,33 @@ schedule stays feasible for every visit already placed; nothing is ever
 ripped out to make room.  After the pair list is exhausted, vertices that
 never reached their requirement are removed from all routes.
 
-A vertex v that failed would fail again before that removal.  Until
-then the routes only gain visits, and a gained visit never lowers a start:
-the detour through it costs at least its service time, which dwarfs the
-rounding of the triangle inequality.  Every slot of the grown routes lies
-between two visits u and w (the depot counts) that were adjacent on its
-route when v failed, so placing v there gives the routing that was
-rejected then, v between u and w, plus visits.  Its starts are no lower,
-so the late start, late return or circular wait that rejected it remains.
-So under TravelTimes.monotone a vertex's first top-up settles it for the
-rest of the walk, complete or failed, and the walk calls each vertex only
-at its first appearance (_call_orders).  Where some customer's service
-time is too short for this, the walk calls every appearance, and a vertex
-is retried once anything was placed since it failed.
+The walk tops up each vertex once, at its first appearance
+(_call_orders), since a vertex v that failed would fail again before that
+removal.  This is exact above a rounding margin, where every customer's
+service time exceeds 1e-9 * (T_max + the longest travel time).  Until the
+removal the routes only gain visits, and a gained visit then never lowers
+a start: the detour through it costs at least its service time, which
+dwarfs the rounding of the triangle inequality.  Every slot of the grown
+routes lies between two visits u and w (the depot counts) that were
+adjacent on its route when v failed, so placing v there gives the routing
+that was rejected then, v between u and w, plus visits.  Its starts are
+no lower, so the late start, late return or circular wait that rejected
+it remains.
 
 The improvement pass then scans the unvisited vertices (highest reward
 first) and tries to insert each one outright; failing that, it places the
 visits at the cheapest arc-valid positions regardless of the schedule and,
 if that breaks exactly one served vertex worth no more than the newcomer,
-trades the two.  Any other breakage restores the previous routes.  Under
-TravelTimes.monotone the same argument holds for this placement: it only
-adds visits, so the starts before it bound the new ones from below.  When
-the bound on the newcomer's start, or on its new successors' starts,
-already shows a breakage no trade can mend, the move is undone without
-relaxing the schedule (_Workspace.substitute).
+trades the two.  Any other breakage restores the previous routes.  The
+same argument holds for this placement: it only adds visits, so the
+starts before it bound the new ones from below.  When the bound on the
+newcomer's start, or on its new successors' starts, already shows a
+breakage no trade can mend, the move is undone without relaxing the
+schedule (_Workspace.substitute).
+
+Below the margin the same rules hold.  A skipped retry or move there can
+only lose reward, never feasibility: every committed insertion is tested,
+and solve's output is checked.
 
 A full run has two phases.  It first constructs one solution for each of
 the 54 coefficient triplets.  A construction is a sequence of top-ups
@@ -116,11 +119,6 @@ class _Workspace:
     `force_place` and `drop` keep it in step at O(req) per visit.  `s` is
     replaced, never changed in place, so a move can keep the old list to
     undo itself.
-
-    `version` increments on every committed change, and
-    `fail_version[v]` is the version at which top_up last failed on v.  A
-    retry at the same version fails at once; a retry after any change
-    tries every slot.
     """
 
     def __init__(self, prep: Prepared):
@@ -133,8 +131,6 @@ class _Workspace:
         self.links: list[list[list[int]]] = [[] for _ in range(self.tt.n)]
         self.count = [0] * self.tt.n
         self.s = list(self.tt.open)
-        self.version = 0
-        self.fail_version = [-1] * self.tt.n
 
     @classmethod
     def from_solution(cls, prep: Prepared, solution: Solution) -> "_Workspace":
@@ -164,8 +160,6 @@ class _Workspace:
         ws._index()
         ws.count = list(self.count)
         ws.s = self.s
-        ws.version = self.version
-        ws.fail_version = list(self.fail_version)
         return ws
 
     def to_solution(self) -> Solution:
@@ -227,7 +221,6 @@ class _Workspace:
             self._relink(m, u, w)
         self.links[v] = []
         self.count[v] = 0
-        self.version += 1  # invalidate failure caches
 
     # -- candidate generation -------------------------------------------------
 
@@ -317,7 +310,6 @@ class _Workspace:
     def _commit(self, m: int, pos: int, v: int, s_new: list[float]) -> None:
         self._place(m, pos, v)
         self.s = s_new
-        self.version += 1
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v: route ends first, then interiors."""
@@ -334,13 +326,8 @@ class _Workspace:
         r = self.tt.req[v]
         if r > self.team_size:
             return False
-        if self.count[v] >= r:
-            return True
-        if self.fail_version[v] == self.version:
-            return False
         while self.count[v] < r:
             if not self.try_place_one(v):
-                self.fail_version[v] = self.version
                 return False
         return True
 
@@ -405,9 +392,9 @@ class _Workspace:
 
     def _doomed(self, v: int) -> bool:
         """Whether the starts before force_place(v), which bound the new
-        ones from below while TravelTimes.monotone holds, already show a
-        breakage no trade can mend: v late, a late successor of v worth
-        more than v, or two distinct late successors.  v's bound is the
+        ones from below (module docstring), already show a breakage no
+        trade can mend: v late, a late successor of v worth more than v,
+        or two distinct late successors.  v's bound is the
         latest arrival from its new predecessors (the depot's travel time
         at a route head), each successor's is v's departure at that bound,
         both in relax_starts' float order.  A successor can follow v on
@@ -442,9 +429,9 @@ class _Workspace:
         Any other outcome drops v again and keeps the old starts, which
         are the fixed point of the unchanged routes.
 
-        Under TravelTimes.monotone adding visits never lowers a start, so
-        the old starts bound those of the forced routing from below.  When
-        the bound already makes v late, a successor of v late that is
+        Adding visits never lowers a start, so the old starts bound those
+        of the forced routing from below (module docstring).  When the
+        bound already makes v late, a successor of v late that is
         worth more than v, or two distinct successors late (_doomed), no
         trade can commit and the move is undone without a relaxation.  A
         late return decides nothing: removing the traded vertex can cure
@@ -458,14 +445,13 @@ class _Workspace:
         if not self.force_place(v):
             self.drop(v)
             return
-        if tt.monotone and self._doomed(v):
+        if self._doomed(v):
             self.drop(v)
             self.s = s
             return
         status, s_new, returns, _ = relax_starts(tt, self.routes)
         if status == "ok":
             self.s = s_new
-            self.version += 1
             return
         broken = late(tt, self.routes, s_new, returns)[0] if status == "window" else []
         if len(broken) == 1 and broken[0] != v and tt.reward[broken[0]] <= tt.reward[v]:
@@ -484,16 +470,15 @@ def _call_orders(prep: Prepared, grid: list[SavingParams]) -> list[list[int]]:
     """Per triplet, the vertices construct tops up, in call order: both
     ends of every saving pair, then every customer by reward, so a vertex
     in no feasible pair (isolated but depot-reachable, or a lone customer)
-    still gets an attempt.  Under TravelTimes.monotone the walk removes
-    nothing, so a vertex's first top_up settles it, complete or failed
-    until the walk ends (module docstring): only first appearances are
+    still gets an attempt.  A vertex's first top_up settles it for the
+    rest of the walk (module docstring), so only first appearances are
     called."""
     tt = prep.tt
     by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
     orders = []
     for params in grid:
         walk = chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward)
-        orders.append(list(dict.fromkeys(walk)) if tt.monotone else list(walk))
+        orders.append(list(dict.fromkeys(walk)))
     return orders
 
 

@@ -103,16 +103,9 @@ class FeasibilityReport:
 
 
 class TravelTimes:
-    """Plain-list views of an instance's timing data for the hot loops.
+    """Plain-list views of an instance's timing data for the hot loops."""
 
-    `monotone` is True when every customer's service time exceeds
-    1e-9 * (T_max + the longest travel time).  Euclidean travel times obey
-    the triangle inequality up to rounding steps far below that margin, so
-    then replacing an arc u -> w by u -> x -> w never lowers w's arrival,
-    and inserting a visit into a routing never lowers a fixed-point start.
-    """
-
-    __slots__ = ("open", "close", "dur", "reward", "req", "t", "t_max", "n", "monotone")
+    __slots__ = ("open", "close", "dur", "reward", "req", "t", "t_max", "n")
 
     def __init__(self, instance: Instance, d: np.ndarray | None = None):
         if d is None:
@@ -126,8 +119,6 @@ class TravelTimes:
         self.t = t.tolist()
         self.t_max = instance.t_max
         self.n = instance.n_vertices
-        margin = 1e-9 * (instance.t_max + float(t.max()))
-        self.monotone = min(self.dur[1:], default=math.inf) > margin
 
 
 def relax_starts(tt: TravelTimes,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import re
@@ -10,7 +12,6 @@ from coptw import (
     SavingParams,
     Solution,
     augment,
-    build_distance_matrix,
     check_solution,
     construct,
     improve,
@@ -24,7 +25,7 @@ from coptw import (
 from coptw import heuristic, savings
 from coptw.heuristic import _call_orders, _Plan, _pool_size, _slices, _Workspace
 from coptw.savings import calc_saving_pairs
-from coptw.scheduling import RouteScan, TravelTimes
+from coptw.scheduling import RouteScan
 
 from conftest import make_instance, random_instance
 
@@ -334,7 +335,9 @@ def check_slot_scans(inst, rng):
 
 
 def walk(ws, prep, params):
-    """construct's top-up walk on a given workspace, without the clean-up."""
+    """construct's top-up walk on a given workspace, without the clean-up,
+    calling every appearance of a vertex; each call of a failed vertex
+    retries it."""
     for i, j in calc_saving_pairs(prep.terms, params):
         ws.top_up(i)
         ws.top_up(j)
@@ -342,25 +345,28 @@ def walk(ws, prep, params):
         ws.top_up(v)
 
 
-def full_relaxation(prep):
-    """prep with TravelTimes.monotone forced off: every move takes the path
-    that decides nothing from the current starts."""
-    inst = prep.instance
-    tt = TravelTimes(inst, build_distance_matrix(inst))
-    tt.monotone = False
-    return prep._replace(tt=tt)
+class FullRelaxation(_Workspace):
+    """The reference for the skipped substitutions: a workspace whose
+    substitute relaxes every forced placement, since no start bound dooms
+    it."""
+
+    def _doomed(self, v):
+        return False
 
 
 @pytest.fixture
 def retries(monkeypatch):
-    """Every try_place_one call as (retry, placed): `retry` whether v had
-    failed on the workspace before."""
+    """Every try_place_one call as (retry, placed): `retry` whether v
+    failed on the same workspace before."""
     calls = []
     try_place_one = _Workspace.try_place_one
 
     def recorded(ws, v):
-        retry = ws.fail_version[v] >= 0
+        failed = vars(ws).setdefault("failed", set())
+        retry = v in failed
         placed = try_place_one(ws, v)
+        if not placed:
+            failed.add(v)
         calls.append((retry, placed))
         return placed
 
@@ -371,23 +377,22 @@ def retries(monkeypatch):
 class TestRetry:
     """While the routes only grow and every service time clears the
     rounding margin, a vertex that failed fails again, so construct's walk
-    calls it once; otherwise it is retried once anything changed."""
+    calls it once; after a removal it can succeed."""
 
-    def test_failure_is_final_while_routes_grow(self):
-        # a full-retry workspace (monotone forced off) must reach the same
-        # routes.  Before a removal none of its retries succeeds; after one
-        # some do, so the removal has to end the rule.
-        counts = {"grow": [0, 0], "regrow": [0, 0]}  # full retries, successes
-        phase = ["grow"]
-        try_place_one = _Workspace.try_place_one
+    def test_failure_is_final_while_routes_grow(self, retries):
+        # the reference walk calls every appearance and retries at each one,
+        # and must reach the routes of the first-appearance walk.  Before a
+        # removal none of its retries succeeds; after one some do, so the
+        # removal has to end the rule.
+        phases = {"grow": [], "regrow": []}  # the reference's (retry, placed)
 
-        def counted(ws, v):
-            retry = ws.fail_version[v] >= 0
-            placed = try_place_one(ws, v)
-            if retry and not ws.tt.monotone:
-                counts[phase[0]][0] += 1
-                counts[phase[0]][1] += placed
-            return placed
+        def both_walks(fast, slow, prep, params, order, phase):
+            start = len(retries)
+            walk(slow, prep, params)
+            phases[phase] += retries[start:]
+            for v in order:
+                fast.top_up(v)
+            assert fast.routes == slow.routes
 
         @settings(max_examples=60, deadline=None)
         @given(
@@ -402,63 +407,35 @@ class TestRetry:
             inst = random_instance(rng, n, team_size=team_size, r_max=team_size,
                                    window=window, service=service)
             prep = prepare(inst)
-            full_prep = full_relaxation(prep)
-            assert prep.tt.monotone
             for params in rng.sample(parameter_grid(), 4):
-                phase[0] = "grow"
-                assert construct(prep, params) == construct(full_prep, params)
-                fast, slow = _Workspace(prep), _Workspace(full_prep)
-                for ws in (fast, slow):
-                    walk(ws, prep, params)
-                assert fast.routes == slow.routes
+                [order] = _call_orders(prep, [params])
+                fast, slow = _Workspace(prep), _Workspace(prep)
+                both_walks(fast, slow, prep, params, order, "grow")
+                built = slow.copy()
+                built.remove_underserved()
+                assert construct(prep, params) == built.to_solution()
                 served = sorted({v for route in fast.routes for v in route})
                 doomed = set(rng.sample(served, min(2, len(served))))
-                phase[0] = "regrow"
                 for ws in (fast, slow):
                     ws.remove_vertices(doomed)
-                    walk(ws, prep, params)
-                assert fast.routes == slow.routes
+                both_walks(fast, slow, prep, params, order, "regrow")
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Workspace, "try_place_one", counted)
-            check()
-        assert counts["grow"][0] > 0 and counts["grow"][1] == 0, counts
-        assert counts["regrow"][1] > 0, counts
-
-    @pytest.mark.parametrize("service, monotone", [(0.0, False), (1e-12, False), (1e-6, True)])
-    def test_monotone_needs_service_above_margin(self, service, monotone):
-        # the margin is 1e-9 * (T_max + the longest travel time) = 1e-9 * 105
-        inst = make_instance([(3.0, 4.0, service, 5.0, 0.0, 100.0, 1),
-                              (0.0, 1.0, 2.0, 5.0, 0.0, 100.0, 1)], t_max=100.0)
-        assert TravelTimes(inst).monotone is monotone
-        assert TravelTimes(make_instance([], t_max=100.0)).monotone
-
-    def test_zero_service_retries(self, retries):
-        # a customer without service time, here two coincident ones, voids
-        # the margin: a failed vertex is tried again after a change
-        rng = random.Random(12)
-        customers = [(10.0, 0.0, 0.0, 5.0, 0.0, 50.0, 2), (10.0, 0.0, 0.0, 5.0, 12.0, 50.0, 2)]
-        for _ in range(10):
-            inst = random_instance(rng, 10, team_size=3, window=20.0)
-            customers += [(v.x, v.y, v.duration, v.reward, v.open, v.close, r)
-                          for v, r in zip(inst.vertices[1:], inst.requirements[1:])]
-        inst = make_instance(customers, team_size=3, t_max=400.0)
-        prep = prepare(inst)
-        assert not prep.tt.monotone
-        for params in parameter_grid()[:6]:
-            construct(prep, params)
-        assert any(retry for retry, _ in retries)
+        check()
+        grow = [placed for retry, placed in phases["grow"] if retry]
+        regrow = [placed for retry, placed in phases["regrow"] if retry]
+        assert grow and not any(grow)
+        assert any(regrow)
 
     def test_removal_and_from_solution_retry(self, data_dir, retries):
         inst = desk_row(data_dir)
         prep = prepare(inst)
-        # construct's walk calls each vertex once on this monotone row, so
-        # only a second walk, after the removal, retries
+        # construct's walk calls each vertex once, so only a second walk,
+        # after the removal, retries
         [order] = _call_orders(prep, parameter_grid()[:1])
         ws = _Workspace(prep)
         for v in order:
             ws.top_up(v)
-        assert max(ws.fail_version) >= 0
+        assert not all(placed for _, placed in retries)
         assert not any(retry for retry, _ in retries)
         ws.remove_vertices({next(v for route in ws.routes for v in route)})
         start = len(retries)
@@ -479,37 +456,34 @@ class TestRetry:
 
 
 class TestDecidedMoves:
-    """Under TravelTimes.monotone the heuristic skips the moves whose
-    outcome the current starts already decide; the skips change nothing."""
+    """The heuristic skips the moves whose outcome the current starts
+    already decide; the skips change nothing, here also on service times
+    below the rounding margin (~6e-7 on these instances)."""
 
-    # service times on both sides of the monotone margin (~6e-7 here)
     SERVICES = (0.0, 1e-12, 3.0, 8.0)
 
     def test_doomed_substitution_skip_is_exact(self, monkeypatch):
-        verdicts = []  # (monotone, doomed) per _doomed call
+        verdicts = []  # per _doomed call of the fast workspaces
         doomed = _Workspace._doomed
 
         def recorded(ws, v):
             verdict = doomed(ws, v)
-            verdicts.append((ws.tt.monotone, verdict))
+            verdicts.append(verdict)
             return verdict
 
         monkeypatch.setattr(_Workspace, "_doomed", recorded)
         rng = random.Random(31)
         for trial in range(32):
-            service = self.SERVICES[trial % 4]
             team_size = rng.randint(1, 4)
             inst = random_instance(rng, rng.randint(5, 12), team_size=team_size,
                                    r_max=team_size, window=rng.choice([20.0, 60.0]),
-                                   service=service)
+                                   service=self.SERVICES[trial % 4])
             prep = prepare(inst)
-            assert prep.tt.monotone is (service > 1e-9)
-            slow_prep = full_relaxation(prep)
             tt = prep.tt
             for params in rng.sample(parameter_grid(), 3):
                 built = construct(prep, params)
                 fast = _Workspace.from_solution(prep, built)
-                slow = _Workspace.from_solution(slow_prep, built)
+                slow = FullRelaxation.from_solution(prep, built)
                 unvisited = [v for v in range(1, tt.n)
                              if fast.count[v] == 0 and tt.req[v] <= team_size]
                 for v in sorted(unvisited, key=lambda v: (-tt.reward[v], v)):
@@ -520,10 +494,8 @@ class TestDecidedMoves:
                     assert fast.count == slow.count
                     assert fast.s == slow.s
                 assert fast.to_solution() == improve(prep, built)
-        # only monotone instances ask, and the bound decides some moves
-        # but not all
-        assert all(monotone for monotone, _ in verdicts)
-        assert {verdict for _, verdict in verdicts} == {True, False}
+        # the bound decides some moves but not all
+        assert set(verdicts) == {True, False}
 
     def test_successor_late_on_two_routes_counts_once(self):
         # 2 forced ahead of 1 on both routes reaches 1 at 10 + 10 + 10 = 30,
@@ -535,14 +507,14 @@ class TestDecidedMoves:
         prep = prepare(inst)
         start = Solution(routes=[[1], [1]])
         ws = _Workspace.from_solution(prep, start)
-        assert ws.tt.monotone and ws.force_place(2)
+        assert ws.force_place(2)
         assert ws.links[2] == [[0, 0, 1], [1, 0, 1]]
         assert not ws._doomed(2)
         assert improve(prep, start).routes == [[2], [2]]
 
     def test_settled_walk_is_exact(self, monkeypatch):
-        # construct tops up each vertex at most once while failures are
-        # final, and gets the routes of the unfiltered walk
+        # construct tops up each vertex at most once and gets the routes of
+        # the walk that calls every appearance and retries at each
         calls = []
         top_up = _Workspace.top_up
 
@@ -566,10 +538,46 @@ class TestDecidedMoves:
                 ws.remove_underserved()
                 del calls[:]
                 assert construct(prep, params) == ws.to_solution()
-                if prep.tt.monotone:
-                    assert len(calls) == len(set(calls)) <= walked
-                else:
-                    assert len(calls) == walked
+                assert len(calls) == len(set(calls)) <= walked
+
+
+class TestBelowMargin:
+    """Instances whose service times fall below the rounding margin, where
+    the module docstring's exactness argument no longer holds."""
+
+    # sha256 over json.dumps([triplet_scores, routes]) of each solve below,
+    # in loop order; the two-mode walk this code replaced, which retried
+    # failed vertices and relaxed every substitution below the margin, gave
+    # the same digest
+    DIGEST = "098fa50592bb3a3eebe17eb11caea82f77fd09bbf4e95834670489d42191d76c"
+
+    def test_zero_service_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(1000, 1150):
+            for service in (0.0, 1e-12):
+                rng = random.Random(seed)
+                n = rng.randint(6, 30)
+                team_size = rng.randint(2, 5)
+                inst = random_instance(rng, n, team_size, r_max=team_size, service=service)
+                result = solve(inst)
+                assert check_solution(inst, result.best_solution).feasible
+                routes = result.best_solution.routes
+                digest.update(json.dumps([result.triplet_scores, routes]).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_coincident_zero_service_customers(self):
+        # two customers at one point, both without service time, ahead of
+        # 100 random ones with service 8
+        rng = random.Random(12)
+        customers = [(10.0, 0.0, 0.0, 5.0, 0.0, 50.0, 2), (10.0, 0.0, 0.0, 5.0, 12.0, 50.0, 2)]
+        for _ in range(10):
+            inst = random_instance(rng, 10, team_size=3, window=20.0)
+            customers += [(v.x, v.y, v.duration, v.reward, v.open, v.close, r)
+                          for v, r in zip(inst.vertices[1:], inst.requirements[1:])]
+        inst = make_instance(customers, team_size=3, t_max=400.0)
+        result = solve(inst)
+        assert check_solution(inst, result.best_solution).feasible
+        assert result.best_score == objective(inst, result.best_solution) > 0
 
 
 class TestSharedPrefixes:
@@ -595,11 +603,9 @@ class TestSharedPrefixes:
                                    r_max=team_size, window=rng.choice([20.0, 60.0]),
                                    service=service)
             prep = prepare(inst)
-            assert prep.tt.monotone is (service > 1e-9)
             plan = self.assert_planned_equals_standalone(prep, rng)
             shared += sum(plan.resume)
-            if not prep.tt.monotone:
-                assert all(len(order) > len(set(order)) for order in plan.orders)
+            assert all(len(order) == len(set(order)) for order in plan.orders)
         assert shared
 
     def test_desk_row_tops_up_each_distinct_prefix_once(self, data_dir, monkeypatch):
@@ -643,7 +649,6 @@ class TestSharedPrefixes:
                     entry[:] = [-1, -1, -1]
                 entries.append([-1, -1, -1])
             ws.count[:] = [-1] * len(ws.count)
-            ws.fail_version[:] = [10**9] * len(ws.fail_version)
 
         monkeypatch.setattr(_Plan, "start", recorded)
         rng = random.Random(67)
@@ -665,13 +670,13 @@ class TestSharedPrefixes:
         copy = ws.copy()
         lists = [ws.routes, *ws.routes, ws.links, *ws.links,
                  *(entry for entries in ws.links for entry in entries),
-                 ws.count, ws.fail_version]
+                 ws.count]
         copied = [copy.routes, *copy.routes, copy.links, *copy.links,
                   *(entry for entries in copy.links for entry in entries),
-                  copy.count, copy.fail_version]
+                  copy.count]
         assert lists == copied
         assert not {id(x) for x in lists} & {id(x) for x in copied}
-        assert copy.s is ws.s and copy.version == ws.version
+        assert copy.s is ws.s
 
     def test_plan_runs_in_order(self):
         prep = prepare(random_instance(random.Random(71), 6, team_size=2))
@@ -952,11 +957,10 @@ class TestSolve:
         assert prep.into == [list(column) for column in zip(*prep.feas)]
         built = construct(prep, parameter_grid()[0])
         fresh = _Workspace(prep)
-        for ws in (fresh, _Workspace.from_solution(prep, built), fresh.copy()):
+        for ws in (fresh, _Workspace.from_solution(prep, built), fresh.copy(),
+                   FullRelaxation.from_solution(prep, built)):
             assert ws.tt is prep.tt and ws.feas is prep.feas and ws.dist is prep.dist
             assert ws.into is prep.into
-        relaxed = full_relaxation(prep)
-        assert not relaxed.tt.monotone and relaxed.into is prep.into
 
     def test_pool_never_exceeds_tasks_or_cpus(self):
         cpus = os.cpu_count() or 1
