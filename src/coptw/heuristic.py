@@ -40,11 +40,15 @@ and solve's output is checked.
 A full run has two phases.  It first constructs one solution for each of
 the 54 coefficient triplets.  A construction is a sequence of top-ups
 whose vertices its pair list fixes before the walk starts, and the
-workspace after k of them depends only on those k vertices.  So the run
-computes every triplet's call order first and walks the triplets in
-sorted call order; each walk resumes from a copy of the workspace an
-earlier walk saved at the end of its longest prefix shared with the walk
-before it (_Plan), so each distinct prefix is walked once.  Many
+workspace after k of them depends only on those k vertices.  A vertex
+first appears in its best pair, the highest saving and among equal ones
+the lowest (i, j) index, the i end before the j end; so the run ranks
+every triplet's call order at once by that rule, in blocks of at most
+savings.BLOCK_ELEMENTS (triplet, pair) values, without sorting any
+pair list (_call_orders).  It then walks the triplets in sorted call
+order; each walk resumes from a copy of the workspace an earlier walk
+saved at the end of its longest prefix shared with the walk before it
+(_Plan), so each distinct prefix is walked once.  Many
 triplets still reach the same routes, so the run then improves each
 distinct construction once, keyed by its routes, and maps the results
 back onto the grid, keeping the best score (earliest triplet wins
@@ -67,8 +71,11 @@ from typing import NamedTuple
 
 from .geometry import build_arc_set, build_distance_matrix
 from .instances import Instance
-from .savings import (SavingParams, SavingTerms, calc_saving_pairs,
-                      parameter_grid, saving_terms)
+# calc_saving_pairs is unused here; kept because the benchmark tracer wraps
+# heuristic.calc_saving_pairs
+from .savings import calc_saving_pairs  # noqa: F401
+from .savings import (SavingParams, SavingTerms, first_appearances, parameter_grid,
+                      saving_terms)
 from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, objective,
                          relax_starts, solution_faults)
 
@@ -472,14 +479,20 @@ def _call_orders(prep: Prepared, grid: list[SavingParams]) -> list[list[int]]:
     in no feasible pair (isolated but depot-reachable, or a lone customer)
     still gets an attempt.  A vertex's first top_up settles it for the
     rest of the walk (module docstring), so only first appearances are
-    called."""
+    called.
+
+    A vertex first appears in its best pair, the one with the highest
+    saving and among equal savings the lowest (i, j) index, and there the
+    i end comes first.  savings.first_appearances ranks the whole grid by
+    that rule at once, in blocks of at most savings.BLOCK_ELEMENTS
+    (triplet, pair) values, so no triplet's pair list is ever sorted.  The
+    customers in no pair follow by reward, the same tail for every
+    triplet; without any feasible pair that tail is the whole order."""
     tt = prep.tt
-    by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
-    orders = []
-    for params in grid:
-        walk = chain(chain.from_iterable(calc_saving_pairs(prep.terms, params)), by_reward)
-        orders.append(list(dict.fromkeys(walk)))
-    return orders
+    paired = set(prep.terms.i.tolist()) | set(prep.terms.j.tolist())
+    tail = [u for u in sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
+            if u not in paired]
+    return [head + tail for head in first_appearances(prep.terms, grid)]
 
 
 class _Plan:

@@ -18,9 +18,12 @@ asymmetric: S(i, j) != S(j, i) in general.
 
 Only the coefficients differ between triplets, so saving_terms evaluates
 everything else once per instance, as numpy arrays over the arc-feasible
-pairs (heuristic.prepare holds them).  calc_saving_pairs ranks one triplet of
-them in numpy and returns only the order; it keeps saving_value's float
-order, so sorting by saving_value gives the same order and ties keep theirs.
+pairs (heuristic.prepare holds them).  saving_matrix evaluates a list of
+triplets over them at once, one row per triplet, in saving_value's float
+grouping, so a row's values equal saving_value's bit for bit.
+calc_saving_pairs ranks one row: sorting by saving_value gives its order
+and ties keep theirs.  first_appearances ranks many rows at once, but only
+as far as construction reads them: each vertex's first pair in the order.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def saving_value(
 
 class SavingTerms(NamedTuple):
     """Triplet-independent saving inputs per feasible pair, in row-major (i, j)
-    order, which calc_saving_pairs keeps as the tie order."""
+    order, which calc_saving_pairs and first_appearances keep as the tie
+    order."""
 
     i: np.ndarray
     j: np.ndarray
@@ -128,6 +132,22 @@ def saving_terms(instance: Instance, d: np.ndarray, feasible: np.ndarray) -> Sav
                        d_max, gamma_bar)
 
 
+# The most values first_appearances holds in one (triplets, pairs) block;
+# its working arrays stay within a small multiple of this.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def saving_matrix(terms: SavingTerms, grid: list[SavingParams]) -> np.ndarray:
+    """The savings of `terms`' pairs under each triplet of `grid`, one row
+    per triplet, in the grouping of saving_value: (base + sweep) + reward."""
+    lam, mu, vth = np.array([(p.lambda_, p.mu, p.vartheta) for p in grid],
+                            dtype=float).reshape(-1, 3).T[:, :, None]  # columns
+    return (
+        (terms.base0 - lam * terms.d_ij) / terms.d_max
+        + mu * terms.cos * terms.spread / terms.d_max
+    ) + vth * terms.rsum / terms.gamma_bar
+
+
 def calc_saving_pairs(terms: SavingTerms, params: SavingParams) -> list[tuple[int, int]]:
     """All ordered customer pairs (i, j) of `terms`, best saving first.
 
@@ -137,10 +157,38 @@ def calc_saving_pairs(terms: SavingTerms, params: SavingParams) -> list[tuple[in
     returned; saving_value gives a pair's value.  Ties are broken by (i, j)
     index so the list is a total, reproducible order.
     """
-    # the grouping of saving_value: (base + sweep) + reward
-    value = (
-        (terms.base0 - params.lambda_ * terms.d_ij) / terms.d_max
-        + params.mu * terms.cos * terms.spread / terms.d_max
-    ) + params.vartheta * terms.rsum / terms.gamma_bar
+    value = saving_matrix(terms, [params])[0]
     order = np.argsort(-value, kind="stable")  # stable: ties keep the (i, j) order
     return list(zip(terms.i[order].tolist(), terms.j[order].tolist()))
+
+
+def first_appearances(terms: SavingTerms, grid: list[SavingParams]) -> list[list[int]]:
+    """Per triplet of `grid`, the vertices of `terms`' pairs in the order
+    they first appear in calc_saving_pairs' list, i end before j end.
+
+    A vertex first appears in its best pair: its highest saving, and among
+    equal savings the lowest (i, j) index.  So the vertices are sorted by
+    that value (highest first), that pair's index, then their side of it.
+    The pairs' ends are grouped by vertex once; each block of triplets,
+    at most BLOCK_ELEMENTS values, takes every vertex's best value and
+    lowest tied pair with two reductions over its groups."""
+    n_pairs = len(terms.i)
+    if not n_pairs:
+        return [[] for _ in grid]
+    ends = np.concatenate([terms.i, terms.j])
+    by_vertex = np.argsort(ends, kind="stable")
+    pair = (by_vertex % n_pairs).astype(np.int32)  # the pair of each grouped end
+    # one group of ends per vertex: its first end and each end's group
+    vertex, starts, group = np.unique(ends[by_vertex], return_index=True, return_inverse=True)
+    step = max(1, BLOCK_ELEMENTS // n_pairs)
+    orders = []
+    for a in range(0, len(grid), step):
+        value = saving_matrix(terms, grid[a:a + step])[:, pair]
+        best = np.maximum.reduceat(value, starts, axis=1)
+        tied = value == best[:, group]
+        del value  # freed before np.where allocates, to lower the block's peak
+        first = np.minimum.reduceat(np.where(tied, pair, n_pairs), starts, axis=1)
+        del tied
+        j_end = terms.i[first] != vertex
+        orders += vertex[np.lexsort((j_end, first, -best), axis=-1)].tolist()
+    return orders

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from coptw import Instance, Vertex
 
@@ -41,6 +42,31 @@ def random_instance(rng: random.Random, n: int, team_size: int, r_max: int = 3,
         reward = float(rng.randint(1, 50))
         customers.append((x, y, service, reward, o, c, rng.randint(1, r_max)))
     return make_instance(customers, team_size=team_size, t_max=t_max)
+
+
+# few distinct coordinates around the depot at the origin: customers land on
+# the depot, coincide with each other or mirror each other, so values tie
+COORDS = st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0, 4.0])
+
+
+@st.composite
+def saving_cases(draw):
+    n = draw(st.integers(1, 7))
+    layout = draw(st.sampled_from(["grid", "on_depot", "coincident"]))
+    if layout == "on_depot":  # d is all zero: the d_max fallback
+        points = [(0.0, 0.0)] * n
+    elif layout == "coincident":
+        points = [(draw(COORDS), draw(COORDS))] * n
+    else:
+        points = draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n))
+    rewards = st.just(0.0) if draw(st.booleans()) else st.sampled_from([1.0, 2.5, 7.0])
+    customers = [
+        # closing times this tight cut some arcs out of the pair list
+        (x, y, draw(st.sampled_from([0.0, 1.0])), draw(rewards), 0.0,
+         draw(st.sampled_from([3.0, 6.0, 100.0])), 1)
+        for x, y in points
+    ]
+    return make_instance(customers, team_size=2, t_max=100.0)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@ import json
 import os
 import random
 import re
+import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from coptw.heuristic import _call_orders, _Plan, _pool_size, _slices, _Workspace
 from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, saving_cases
 
 
 def desk_row(data_dir, name="r100_1", n=11, team_size=4):
@@ -741,6 +743,90 @@ class TestSharedPrefixes:
             runs = _slices(items, parts)
             assert len(runs) == parts and sum(runs, []) == items
             assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
+def reference_orders(prep, grid):
+    """The walk _call_orders stands for: the ends of each triplet's
+    calc_saving_pairs list, then every customer by reward, each vertex at
+    its first appearance."""
+    tt = prep.tt
+    by_reward = sorted(range(1, tt.n), key=lambda u: (-tt.reward[u], u))
+    return [list(dict.fromkeys(chain(*calc_saving_pairs(prep.terms, params), by_reward)))
+            for params in grid]
+
+
+class TestCallOrders:
+    """_call_orders ranks the grid at once by each vertex's best pair; it
+    must give every triplet the first appearances of its own pair walk."""
+
+    # the tracemalloc peak allowed while the full grid is ranked
+    PEAK_CAP = 64 * 2**20
+
+    def assert_matches_reference(self, prep, rng):
+        grid = parameter_grid()
+        expected = reference_orders(prep, grid)
+        assert _call_orders(prep, grid) == expected
+        params = rng.choice(grid)  # one triplet, as construct(prep, params) plans it
+        assert _Plan(prep, [params]).orders == [expected[grid.index(params)]]
+        k = rng.randint(2, len(grid))
+        for run in _slices(list(range(len(grid))), k):  # as the pool cuts the grid
+            assert _call_orders(prep, [grid[t] for t in run]) == [expected[t] for t in run]
+        n_pairs = len(prep.terms.i)
+        for budget in (1, n_pairs, rng.randint(1, 4 * n_pairs + 1)):
+            # one triplet per block, then a few per block
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(savings, "BLOCK_ELEMENTS", budget)
+                assert _call_orders(prep, grid) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=saving_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_walk_on_ties(self, inst, seed):
+        self.assert_matches_reference(prepare(inst), random.Random(seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        window=st.sampled_from([10.0, 60.0, 400.0]),
+        service=st.sampled_from([0.0, 3.0, 8.0]),
+    )
+    def test_matches_reference_walk(self, seed, n, window, service):
+        rng = random.Random(seed)
+        inst = random_instance(rng, n, team_size=3, window=window, service=service)
+        self.assert_matches_reference(prepare(inst), rng)
+
+    def test_no_feasible_pair_gives_reward_order(self):
+        # every arc between the two customers misses its closing time, and a
+        # lone customer has no pair at all
+        insts = [make_instance([(10.0, 0.0, 5.0, 3.0, 0.0, 20.0, 1),
+                                (-10.0, 0.0, 5.0, 9.0, 0.0, 20.0, 1)]),
+                 make_instance([(10.0, 0.0, 5.0, 3.0, 0.0, 20.0, 1)])]
+        for inst in insts:
+            prep = prepare(inst)
+            assert not len(prep.terms.i)
+            by_reward = sorted(range(1, inst.n_vertices), key=lambda v: -prep.tt.reward[v])
+            assert _call_orders(prep, parameter_grid()) == [by_reward] * 54
+            self.assert_matches_reference(prep, random.Random(0))
+
+    def test_ranking_peak_memory_is_capped(self):
+        # 300 customers with windows wide enough that every ordered pair is
+        # an arc: one matrix of the grid's gathered pair ends alone would
+        # exceed the cap
+        inst = random_instance(random.Random(3), 300, team_size=4, window=1e4, t_max=2000.0)
+        prep = prepare(inst)
+        grid = parameter_grid()
+        n_pairs = len(prep.terms.i)
+        assert n_pairs == 300 * 299
+        assert len(grid) * 2 * n_pairs * 8 > self.PEAK_CAP
+        tracemalloc.start()
+        try:
+            orders = _call_orders(prep, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_CAP
+        assert all(sorted(order) == list(range(1, 301)) for order in orders)
+        assert orders[::9] == reference_orders(prep, grid[::9])
 
 
 class TestImprove:

@@ -2,7 +2,6 @@ import math
 import random
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coptw import (
     SavingParams,
@@ -13,9 +12,9 @@ from coptw import (
     parameter_grid,
     saving_value,
 )
-from coptw.savings import saving_terms
+from coptw.savings import saving_matrix, saving_terms
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, saving_cases
 
 
 def ranked_pairs(inst, params):
@@ -212,31 +211,6 @@ class TestCalcSavingPairs:
         assert same_value == sorted(same_value)
 
 
-# few distinct coordinates around the depot at the origin: customers land on
-# the depot, coincide with each other or mirror each other, so values tie
-COORDS = st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0, 4.0])
-
-
-@st.composite
-def saving_cases(draw):
-    n = draw(st.integers(1, 7))
-    layout = draw(st.sampled_from(["grid", "on_depot", "coincident"]))
-    if layout == "on_depot":  # d is all zero: the d_max fallback
-        points = [(0.0, 0.0)] * n
-    elif layout == "coincident":
-        points = [(draw(COORDS), draw(COORDS))] * n
-    else:
-        points = draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n))
-    rewards = st.just(0.0) if draw(st.booleans()) else st.sampled_from([1.0, 2.5, 7.0])
-    customers = [
-        # closing times this tight cut some arcs out of the pair list
-        (x, y, draw(st.sampled_from([0.0, 1.0])), draw(rewards), 0.0,
-         draw(st.sampled_from([3.0, 6.0, 100.0])), 1)
-        for x, y in points
-    ]
-    return make_instance(customers, team_size=2, t_max=100.0)
-
-
 class TestRankingDifferential:
     @settings(max_examples=100, deadline=None)
     @given(inst=saving_cases())
@@ -251,7 +225,12 @@ class TestRankingDifferential:
         pairs = [(i, j) for i in range(1, n) for j in range(1, n)
                  if i != j and arcs[i, j]]
         terms = saving_terms(inst, d, arcs)
-        for params in parameter_grid():
+        grid = parameter_grid()
+        # the batched rows equal the scalar values bit for bit
+        assert saving_matrix(terms, grid).tolist() == [
+            [saving_value(i, j, inst, d, params, d_max, gamma_bar) for i, j in pairs]
+            for params in grid]
+        for params in grid:
             expected = sorted(
                 ((i, j, saving_value(i, j, inst, d, params, d_max, gamma_bar))
                  for i, j in pairs),
