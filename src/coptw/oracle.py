@@ -14,6 +14,28 @@ collects more.  The bound has no route-time term: a fractional knapsack
 over the remaining route time, tried on top, was needed for only 24 of the
 304,868 nodes pruned on the 16 benchmark rows (requirement seed 1).
 
+A node's work follows what it changes.  Each node keeps its live list:
+in candidate order, the customers not yet complete that miss at most one
+visit more than the unopened routes can give and, when they miss one, are
+not on the open route.  A customer this count rule drops stays dropped
+below the node: counts only grow, a customer appended to the open route
+joins it, and closing the route empties it but takes an unopened route
+away too.  So a node's live list is a filter of its parent's and equals
+the rule over all candidates.  The reach test is applied to the live list
+at every node and drops nothing for good, so the list needs no argument
+about later tails.  The bound sums the rewards it keeps in candidate
+order, as the rule over all candidates does, so it is the same float.
+
+Appending v to the open route changes no other customer's count and
+leaves v missing no more visits than the unopened routes give, so a
+child's live list is its parent's, less v when v completes.  A child whose
+score does not beat the incumbent would record nothing on entry, so its
+parent counts it, decides its bound in its own loop and expands only the
+children that survive.  The root, a new route and a child with a better
+score are counted, recorded and bounded on entry.  Either way each node is
+counted and cut where it was when every node did all three on entry, so
+the tree, the node counts and where the limits stop are unchanged.
+
 The search starts from a verified incumbent, by default the savings
 heuristic's best solution: the bound cuts from the root on, and the
 heuristic already reaches the optimum on most small rows.  An empty
@@ -76,7 +98,6 @@ class _LimitReached(Exception):
 class _Search:
     def __init__(self, prep: Prepared, config: OracleConfig):
         self.tt = prep.tt
-        self.feas = prep.feas
         self.instance = prep.instance
         self.config = config
         self.team_size = prep.instance.team_size
@@ -88,7 +109,7 @@ class _Search:
             (v for v in range(1, n) if self.req[v] <= self.team_size),
             key=lambda v: (-self.reward[v], v),
         )
-        # a customer no feasible arc enters is never appended by _extend;
+        # a customer no feasible arc enters is never appended by _expand;
         # dropping it tightens the bound and stays admissible
         self.bound_candidates = [v for v in self.branch_order if any(prep.into[v])]
         # starts only grow and Euclidean travel times obey the triangle
@@ -96,6 +117,8 @@ class _Search:
         # its current tail does, up to the rounding this margin absorbs
         slack = 1e-9 * max(1.0, self.tt.t_max)
         self.reach_close = [c + slack for c in self.tt.close]
+        # each tail's arc-feasible successors, in branching order
+        self.succ = [[v for v in self.branch_order if row[v]] for row in prep.feas]
 
         self.routes: list[list[int]] = [[]]
         self.links = RouteScan(self.routes)  # routes change in place only
@@ -110,6 +133,12 @@ class _Search:
         self.deadline = time.perf_counter() + config.time_limit
 
     def _bound(self) -> float:
+        """The node's bound from scratch, over every candidate."""
+        return self.score + self._live(self.bound_candidates)[1]
+
+    def _live(self, cands: list[int]) -> tuple[list[int], float]:
+        """The entries of `cands` the count rule keeps at this node, in
+        order, and the reward of those the reach rule also keeps."""
         unopened = self.team_size - len(self.routes)
         open_set = self.open_set
         count = self.count
@@ -124,19 +153,24 @@ class _Search:
             depart = 0.0
         t_last = self.tt.t[last]
         reach_close = self.reach_close
+        live = []
         completable = 0.0
-        for v in self.bound_candidates:
+        for v in cands:
             c = count[v]
             r = req[v]
             if c >= r:
                 continue
             # v misses more visits than the routes that can still add one
-            if c + unopened < r and (
-                    c + unopened + 1 < r or v in open_set
-                    or depart + t_last[v] > reach_close[v]):
-                continue
+            if c + unopened < r:
+                if c + unopened + 1 < r or v in open_set:
+                    continue
+                live.append(v)
+                if depart + t_last[v] > reach_close[v]:
+                    continue
+            else:
+                live.append(v)
             completable += reward[v]
-        return self.score + completable
+        return live, completable
 
     def _record_incumbent(self) -> None:
         if self.score <= self.best_score:
@@ -149,7 +183,7 @@ class _Search:
             self.best_score = self.score
             self.best_routes = [list(r) for r in stripped if r]
 
-    def _extend(self, prev: list[int], lex_gt: bool) -> None:
+    def _count_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.config.node_limit:
             self.complete = False
@@ -157,18 +191,40 @@ class _Search:
         if self.nodes % 512 == 0 and time.perf_counter() > self.deadline:
             self.complete = False
             raise _LimitReached
+
+    def _enter(self, prev: list[int], lex_gt: bool, cands: list[int]) -> None:
+        """Count the current node, record it, and expand it if its bound
+        beats the incumbent; `cands` contains its live list: the list of a
+        node above it, or every candidate at the root."""
+        self._count_node()
         self._record_incumbent()
-        if self._bound() <= self.best_score:
-            return
+        live, completable = self._live(cands)
+        if self.score + completable > self.best_score:
+            self._expand(prev, lex_gt, live)
+
+    def _expand(self, prev: list[int], lex_gt: bool, live: list[int]) -> None:
+        """Branch on the current node, whose bound beats the incumbent;
+        `live` is its live list."""
         tt = self.tt
+        t = tt.t
+        dur = tt.dur
+        close = tt.close
+        t_max = tt.t_max
+        count = self.count
+        req = self.req
+        reward = self.reward
+        reach_close = self.reach_close
+        open_set = self.open_set
+        s = self.s  # children that replace self.s put this list back
         open_route = self.routes[-1]
         last = open_route[-1] if open_route else 0
-        feas_last = self.feas[last]
-        depart = 0.0 if last == 0 else self.s[last] + tt.dur[last]
-        t_last = tt.t[last]
+        depart = 0.0 if last == 0 else s[last] + dur[last]
+        t_last = t[last]
         depth = len(open_route)
-        for v in self.branch_order:
-            if self.count[v] >= self.req[v] or v in self.open_set or not feas_last[v]:
+        unopened = self.team_size - len(self.routes)
+        for v in self.succ[last]:
+            c_old = count[v]
+            if c_old >= req[v] or v in open_set:
                 continue
             if not lex_gt:
                 if depth < len(prev) and v < prev[depth]:
@@ -177,56 +233,77 @@ class _Search:
             else:
                 child_gt = True
             arr = depart + t_last[v]
-            if arr > tt.close[v]:
+            if arr > close[v]:
                 continue
             # a tail append only cascades when it raises the start of an
             # already-visited vertex; otherwise the fixed point is the old
             # one with s[v] updated in place
-            s_old_v = self.s[v]
-            if self.count[v] == 0 or arr <= s_old_v:
+            s_old_v = s[v]
+            if c_old == 0 or arr <= s_old_v:
                 s_v = arr if arr > s_old_v else s_old_v
-                if s_v + tt.dur[v] + tt.t[v][0] > tt.t_max:
+                if s_v + dur[v] + t[v][0] > t_max:
                     continue
                 open_route.append(v)
-                self.s[v] = s_v
-                feasible = True
+                s[v] = s_v
                 s_save = None
             else:
                 open_route.append(v)
-                s_new = insert_starts(tt, self.links, self.s, v)
-                feasible = s_new is not None
-                if feasible:
-                    s_save = self.s
-                    self.s = s_new
-            if feasible:
-                self.open_set.add(v)
-                self.count[v] += 1
-                # restored by assignment: `-=` drifts for non-integer rewards
-                score = self.score
-                if self.count[v] == self.req[v]:
-                    self.score = score + self.reward[v]
-                self._extend(prev, child_gt)
-                self.score = score
-                self.count[v] -= 1
-                self.open_set.remove(v)
-                if s_save is not None:
-                    self.s = s_save
+                s_new = insert_starts(tt, self.links, s, v)
+                if s_new is None:
+                    open_route.pop()
+                    continue
+                s_save = s
+                self.s = s_new
+                s_v = s_new[v]
+            open_set.add(v)
+            count[v] = c_old + 1
+            # restored by assignment: `-=` drifts for non-integer rewards
+            score = self.score
+            if c_old + 1 == req[v]:
+                self.score = score + reward[v]
+            if self.score > self.best_score:
+                self._enter(prev, child_gt, live)
+            else:
+                # the child's incumbent check would do nothing: count it
+                # and decide its bound here, from this node's live list
+                self._count_node()
+                # no list is changed once built, so the child shares this
+                # node's list unless v completes and leaves it
+                if c_old + 1 < req[v]:
+                    keep = live
                 else:
-                    self.s[v] = s_old_v
+                    keep = live.copy()
+                    keep.remove(v)
+                t_v = t[v]
+                depart_v = s_v + dur[v]
+                completable = 0.0
+                for w in keep:
+                    # only a customer that needs the open route can miss it
+                    if (count[w] + unopened < req[w]
+                            and depart_v + t_v[w] > reach_close[w]):
+                        continue
+                    completable += reward[w]
+                if self.score + completable > self.best_score:
+                    self._expand(prev, child_gt, keep)
+            self.score = score
+            count[v] = c_old
+            open_set.remove(v)
+            if s_save is not None:
+                self.s = s_save
+            else:
+                s[v] = s_old_v
             open_route.pop()
         if open_route and len(self.routes) < self.team_size:
             if lex_gt or len(open_route) == len(prev):
-                closed = open_route
                 self.routes.append([])
-                saved_set = self.open_set
                 self.open_set = set()
-                self._extend(closed, False)
-                self.open_set = saved_set
+                self._enter(open_route, False, live)
+                self.open_set = open_set
                 self.routes.pop()
 
     def run(self) -> OracleResult:
         try:
-            self._extend([], True)
+            self._enter([], True, self.bound_candidates)
         except _LimitReached:
             pass
         routes = [list(r) for r in self.best_routes]
@@ -258,11 +335,11 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
 
     Measured on a 2-vCPU Xeon under Python 3.11: the 16 benchmark rows at
     10-12 customers and 3-4 members (requirement seed 1) prove in 811 to
-    135k nodes each, 477k in all (711k cold), about 2.7 s for all 16 with
-    their seed solves; c100_1 at 12 customers and 4 members is still
-    unproven after 25 s and 6.2M nodes, though the heuristic's 298 is its
-    optimum.  When the node or time limit stops the search, the incumbent
-    is reported with proven_optimal=False.
+    135k nodes each, 477k in all (711k cold), about 1.0-1.3 s for all 16
+    with their seed solves; c100_1 at 12 customers and 4 members takes
+    8.26M nodes, about 18 s, to prove the heuristic's 298 optimal.  When
+    the node or time limit stops the search, the incumbent is reported
+    with proven_optimal=False.
     """
     if config is None:
         config = OracleConfig()

@@ -1,20 +1,27 @@
 import dataclasses
+import hashlib
+import inspect
+import json
 import math
 import random
 import re
+import sys
 
 import pytest
 
 from coptw import (
     OracleConfig,
     Solution,
+    augment,
     check_solution,
     empty_solution,
     exact_solve,
     objective,
     optimality_gap,
+    parse_benchmark,
     prepare,
     solve,
+    truncate,
 )
 from coptw.oracle import _Search
 from coptw.scheduling import TravelTimes
@@ -166,22 +173,23 @@ class TestExactSolve:
 
     def test_matches_bruteforce_with_tight_windows(self, monkeypatch):
         # narrow windows make the open route's tail miss customers an
-        # unopened route could still serve, so the reach cut fires
-        bound = _Search._bound
+        # unopened route could still serve, so the reach cut fires; every
+        # node the search expands is checked with and without that cut
+        expand = _Search._expand
         fired = 0
 
-        def counting(search):
+        def counting(search, *args):
             nonlocal fired
-            tight = bound(search)
+            tight = search._bound()
             reach_close = search.reach_close
             search.reach_close = [math.inf] * len(reach_close)
-            loose = bound(search)
+            loose = search._bound()
             search.reach_close = reach_close
             assert tight <= loose
             fired += tight < loose
-            return tight
+            return expand(search, *args)
 
-        monkeypatch.setattr(_Search, "_bound", counting)
+        monkeypatch.setattr(_Search, "_expand", counting)
         rng = random.Random(510)
         for _ in range(40):
             inst = random_instance(rng, rng.randint(4, 6), team_size=rng.randint(2, 3),
@@ -193,6 +201,57 @@ class TestExactSolve:
                 assert res.best_score == reference
                 assert check_solution(inst, res.best_solution).feasible
         assert fired > 0
+
+    def test_inherited_lists_match_the_rule_from_scratch(self, monkeypatch):
+        # a node's live list is filtered from a list of a node above it:
+        # in _enter (the root, a new route, a child that beats the
+        # incumbent) and in its parent's child loop (every other child).
+        # At each of those nodes the list and the reward it counts must be
+        # _live over all candidates, bit for bit
+        live = _Search._live
+        checked = {"entered": 0, "decided": 0}
+
+        def entering(search, cands):
+            got = live(search, cands)
+            assert got == live(search, search.bound_candidates)
+            checked["entered"] += 1
+            return got
+
+        # the parent-side decision is inline, so a line tracer reads its
+        # locals where the child's bound is compared
+        lines, first = inspect.getsourcelines(_Search._expand)
+        marks = [first + i for i, line in enumerate(lines)
+                 if "self.score + completable > self.best_score" in line]
+        assert len(marks) == 1
+        code = _Search._expand.__code__
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line" and frame.f_lineno == marks[0]:
+                search = frame.f_locals["self"]
+                got = (frame.f_locals["keep"], frame.f_locals["completable"])
+                assert got == live(search, search.bound_candidates)
+                checked["decided"] += 1
+            return tracer
+
+        monkeypatch.setattr(_Search, "_live", entering)
+        rng = random.Random(540)
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for _ in range(24):
+                base = random_instance(rng, rng.randint(5, 7), team_size=rng.randint(2, 4),
+                                       t_max=150.0, window=20.0)
+                inst = dataclasses.replace(base, vertices=[
+                    dataclasses.replace(v, reward=rng.choice((0.1, 0.2, 0.3, 0.7)))
+                    if v.id else v
+                    for v in base.vertices])
+                for incumbent in (None, empty_solution(inst.team_size)):
+                    assert exact_solve(inst, incumbent=incumbent).proven_optimal
+        finally:
+            sys.settrace(old)
+        assert checked["entered"] > 0 and checked["decided"] > 0
 
     def test_incumbent_consistency(self):
         rng = random.Random(502)
@@ -305,6 +364,51 @@ class TestExactSolve:
         res = exact_solve(inst, incumbent=empty_solution(team_size))
         assert res.proven_optimal
         assert (res.best_score, res.explored_nodes) == (score, nodes)
+
+    # (explored_nodes, best_score, routes, proven_optimal) of searches
+    # stopped by each node limit, then by a deadline already passed when
+    # the search starts (the deadline is read every 512 nodes), on four
+    # benchmark rows at requirement seed 1, from the heuristic's solution
+    # and cold.  Recorded on commit cbc7289, whose search counted and
+    # bounded every node on entering it.
+    @pytest.mark.parametrize("name, n, team_size, start, digest", [
+        ("r100_1", 12, 4, "seeded",
+         "c3db7b4d68c46ceef77208b6d08bb64f145f30415676e7268208eab0d4d67489"),
+        ("r100_1", 12, 4, "cold",
+         "715b68dc7ed75cedec1ad698678e198e5eda0c83d5bd09c7ade5a7e13893a189"),
+        ("rc100_1", 10, 3, "seeded",
+         "ae044db2a452253abe411ac2f44b28e935aab34521ce357aa83661bcebf3716f"),
+        ("rc100_1", 10, 3, "cold",
+         "f7b6d8c06f8c950e82081f022cf6439866f1c6ffaf6d26d655adc997b7ed47dc"),
+        ("rc100_1", 10, 4, "seeded",
+         "632b1b9deb5689cff129d8531ac2c2f539e741c93e77809b3bfa2841d691b324"),
+        ("rc100_1", 10, 4, "cold",
+         "853c39812c93fac92cca439ab22c3a2befca480f92f10ebb385e66bbc1fd5a15"),
+        ("rc100_1", 11, 3, "seeded",
+         "67fc8bc430340d130e37d5bc07d1143386a960ba271335dc94e079837b3bcc96"),
+        ("rc100_1", 11, 3, "cold",
+         "f5778c45f63df17f2698d270539816a750199835dadcb80e291525fc3d34c6d1"),
+    ])
+    def test_limited_searches_are_pinned(self, data_dir, name, n, team_size, start, digest):
+        raw = truncate(parse_benchmark((data_dir / f"{name}.txt").read_text()), n)
+        inst = augment(raw, 1, 3, team_size=team_size)
+        if start == "seeded":
+            incumbent = solve(inst, workers=1).best_solution
+        else:
+            incumbent = empty_solution(team_size)
+        records = []
+        for limit in (1, 2, 3, 511, 512, 513, 5000, None):
+            if limit is None:
+                res = exact_solve(inst, OracleConfig(time_limit=1e-9), incumbent)
+                assert res.explored_nodes == 512
+            else:
+                res = exact_solve(inst, OracleConfig(node_limit=limit), incumbent)
+                assert res.explored_nodes == limit + 1
+            assert not res.proven_optimal
+            assert check_solution(inst, res.best_solution).feasible
+            records.append([limit, res.explored_nodes, res.best_score,
+                            res.best_solution.routes, res.proven_optimal])
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
