@@ -116,9 +116,9 @@ def prepare(instance: Instance) -> Prepared:
 class _Workspace:
     """Mutable routes, visit counts, a member index and the current
     start-time fixed point over one Prepared instance, whose lists it
-    reads and never copies.  The slot scans read one arc row per side of
-    the new visit v: `into[v]` for the arcs u -> v and `feas[v]` for the
-    arcs v -> w.
+    reads and never copies.  Each slot scan walks a route once, as its
+    gaps (u, w) with the depot at both ends, and reads one arc row per
+    side of the new visit v: `into[v]` for u -> v and `feas[v]` for v -> w.
 
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
@@ -231,19 +231,21 @@ class _Workspace:
 
     # -- candidate generation -------------------------------------------------
 
-    def _slots(self, v: int, ends: bool) -> list[tuple[float, int, int]]:
-        """The (delta, m, pos) slots for one more visit of v, cheapest added
-        distance first: the route heads and tails when `ends` (one empty
-        route stands for all of them), else the interior positions.
+    def _slots(self, v: int) -> list[tuple[float, int, int]]:
+        """The (delta, m, pos) slots for one more visit of v: the route
+        heads and tails, cheapest added distance first, then the interior
+        positions the same way.  One empty route stands for all of them.
 
-        Each route is walked as its gaps (u, w): u the visit before pos and
-        w the one at it, the depot at either end.  A gap is tested first on
-        v's two arc rows, `into[v][u]` for u -> v and `feas[v][w]` for
-        v -> w.  Then come two start floors: v reachable by its close from
-        u's current start, and w (the depot at a tail) still reachable by
-        its close after serving v.  They bound the first two starts
+        Each route is walked once, as its gaps (u, w): u the visit before
+        pos and w the one at it, the depot (0) at either end.  A gap is
+        tested first on v's two arc rows, `into[v][u]` for u -> v and
+        `feas[v][w]` for v -> w.  Then come two start floors: v reachable
+        by its close from u's current start, and w still reachable by its
+        close after serving v.  They bound the first two starts
         insert_starts computes from below, in the same float order, so a
-        slot they drop is one it would reject."""
+        slot they drop is one it would reject.  The depot needs no case of
+        its own: it opens at 0 with no service (Instance) and nothing
+        writes s[0], so s[0] + dur[0] + t[0][v] is t[0][v] bit for bit."""
         into_v = self.into[v]
         feas_v = self.feas[v]
         dist = self.dist
@@ -259,52 +261,30 @@ class _Workspace:
         t_v = t[v]
         links_v = self.links[v]
         taken = {entry[0] for entry in links_v} if links_v else ()
-        slots = []
-        if ends:
-            # u is the depot at every head, so v's arrival and departure
-            # there are the same on every route
-            arr = t[0][v]
-            head = into_v[0] and arr <= close_v
-            depart = (arr if arr > s_v else s_v) + dur_v
-            tail = feas_v[0]
-            t_v0 = t_v[0]
-            dist_0 = dist[0]
-            dist_v0 = dist_v[0]
-            close_0 = close[0]
-            empty_seen = False
-            for m, route in enumerate(self.routes):
-                if m in taken:
+        ends = []
+        inner = []
+        empty_seen = False
+        for m, route in enumerate(self.routes):
+            if m in taken:
+                continue
+            if not route:
+                if empty_seen:
                     continue
-                if not route:
-                    if head and tail and not empty_seen and depart + t_v0 <= close_0:
-                        slots.append((dist_0[v] + dist_v0 - dist_0[0], m, 0))
-                    empty_seen = True  # empty routes are interchangeable
-                    continue
-                w = route[0]
-                if head and feas_v[w] and depart + t_v[w] <= close[w]:
-                    slots.append((dist_0[v] + dist_v[w] - dist_0[w], m, 0))
-                u = route[-1]
-                if tail and into_v[u]:
+                empty_seen = True  # empty routes are interchangeable
+            u = 0
+            for w in [*route, 0]:
+                if into_v[u] and feas_v[w]:
                     arr = s[u] + dur[u] + t[u][v]
                     start = arr if arr > s_v else s_v
-                    if arr <= close_v and start + dur_v + t_v0 <= close_0:
-                        slots.append((dist[u][v] + dist_v0 - dist[u][0], m, len(route)))
-        else:
-            for m, route in enumerate(self.routes):
-                if m in taken or not route:
-                    continue
-                u = route[0]
-                for w in route[1:]:
-                    if into_v[u] and feas_v[w]:
-                        arr = s[u] + dur[u] + t[u][v]
-                        start = arr if arr > s_v else s_v
-                        if arr <= close_v and start + dur_v + t_v[w] <= close[w]:
-                            # a route visits w once, so its index is the slot's pos
-                            slots.append((dist[u][v] + dist_v[w] - dist[u][w], m,
-                                          route.index(w)))
-                    u = w
-        slots.sort()
-        return slots
+                    if arr <= close_v and start + dur_v + t_v[w] <= close[w]:
+                        # a route visits w once, so its index is the slot's pos
+                        slot = (dist[u][v] + dist_v[w] - dist[u][w], m,
+                                route.index(w) if w else len(route))
+                        (inner if u and w else ends).append(slot)
+                u = w
+        ends.sort()
+        inner.sort()
+        return ends + inner
 
     # -- feasibility-gated insertion ------------------------------------------
 
@@ -319,13 +299,14 @@ class _Workspace:
         self.s = s_new
 
     def try_place_one(self, v: int) -> bool:
-        """Place one member visit of v: route ends first, then interiors."""
-        for ends in (True, False):
-            for _, m, pos in self._slots(v, ends):
-                s_new = self._try_slot(m, pos, v)
-                if s_new is not None:
-                    self._commit(m, pos, v, s_new)
-                    return True
+        """Place one member visit of v at the first slot of _slots, route
+        ends before interiors, whose schedule stays feasible.  A rejected
+        trial changes nothing, so one scan serves every trial."""
+        for _, m, pos in self._slots(v):
+            s_new = self._try_slot(m, pos, v)
+            if s_new is not None:
+                self._commit(m, pos, v, s_new)
+                return True
         return False
 
     def top_up(self, v: int) -> bool:
@@ -402,8 +383,8 @@ class _Workspace:
         ones from below (module docstring), already show a breakage no
         trade can mend: v late, a late successor of v worth more than v,
         or two distinct late successors.  v's bound is the
-        latest arrival from its new predecessors (the depot's travel time
-        at a route head), each successor's is v's departure at that bound,
+        latest arrival from its new predecessors (the depot counts, as in
+        _slots), each successor's is v's departure at that bound,
         both in relax_starts' float order.  A successor can follow v on
         several routes; it counts once."""
         tt = self.tt
@@ -414,7 +395,7 @@ class _Workspace:
         reward = tt.reward
         start = tt.open[v]
         for _, u, _ in self.links[v]:
-            arr = s[u] + dur[u] + t[u][v] if u else t[0][v]
+            arr = s[u] + dur[u] + t[u][v]
             if arr > start:
                 start = arr
         if start > close[v]:

@@ -145,12 +145,8 @@ class _Search:
         req = self.req
         reward = self.reward
         open_route = self.routes[-1]
-        if open_route:
-            last = open_route[-1]
-            depart = self.s[last] + self.tt.dur[last]
-        else:
-            last = 0
-            depart = 0.0
+        last = open_route[-1] if open_route else 0
+        depart = self.s[last] + self.tt.dur[last]  # 0.0 at the depot (Instance)
         t_last = self.tt.t[last]
         reach_close = self.reach_close
         live = []
@@ -218,7 +214,7 @@ class _Search:
         s = self.s  # children that replace self.s put this list back
         open_route = self.routes[-1]
         last = open_route[-1] if open_route else 0
-        depart = 0.0 if last == 0 else s[last] + dur[last]
+        depart = s[last] + dur[last]
         t_last = t[last]
         depth = len(open_route)
         unopened = self.team_size - len(self.routes)

@@ -152,6 +152,7 @@ class TestConstruct:
             scan = RouteScan(ws.routes)
             assert ws.links == [scan[x] for x in range(ws.tt.n)]
             assert ws.count == Solution(ws.routes).visit_counts(ws.tt.n)
+            assert ws.s[0] == 0.0  # the slot walk's depot arrival is t[0][v]
 
         def checked(name, fn, key=None):
             def wrapper(ws, *args):
@@ -205,7 +206,7 @@ class TestConstruct:
             sol = construct(prep, SavingParams(0.7, 0.7, 0.7))
             ws = _Workspace.from_solution(prep, sol)
             for v in range(1, inst.n_vertices):
-                offered = {(m, pos) for ends in (True, False) for _, m, pos in ws._slots(v, ends)}
+                offered = {(m, pos) for _, m, pos in ws._slots(v)}
                 for m, route in enumerate(ws.routes):
                     if not route or v in route:
                         continue
@@ -224,7 +225,7 @@ class TestConstruct:
         )
         prep = prepare(inst)
         ws = _Workspace.from_solution(prep, Solution(routes=[[2]]))
-        assert [(m, pos) for _, m, pos in ws._slots(1, True)] == [(0, 0), (0, 1)]
+        assert [(m, pos) for _, m, pos in ws._slots(1)] == [(0, 0), (0, 1)]
         assert ws._try_slot(0, 0, 1)[2] == 12.0
 
     @pytest.mark.parametrize("service", [0.0, 1e-12, 3.0, 8.0])
@@ -313,8 +314,8 @@ def reference_force_place(ws, v):
 
 
 def check_slot_scans(inst, rng):
-    """Compare _slots (both passes) and force_place with their brute-force
-    references on workspaces part-way through a construction walk, where
+    """Compare _slots (the ends, then the interiors) and force_place with
+    their brute-force references on workspaces part-way through a walk, where
     some vertices already have visits (a failed top-up leaves them until
     the clean-up).  Returns how many of the checked vertices already had
     visits."""
@@ -327,8 +328,7 @@ def check_slot_scans(inst, rng):
             ws.top_up(v)
         for v in range(1, inst.n_vertices):
             visited += ws.count[v] > 0
-            for ends in (True, False):
-                assert ws._slots(v, ends) == reference_slots(ws, v, ends)
+            assert ws._slots(v) == reference_slots(ws, v, True) + reference_slots(ws, v, False)
             forced = ws.copy()
             expected = reference_force_place(ws, v)
             assert forced.force_place(v) == (expected is not None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from coptw import (
     truncate,
     write_coptw,
 )
+from coptw.cli import main
 
 SOLOMON_SAMPLE = """\
 ************************
@@ -244,6 +246,27 @@ class TestInstanceInvariants:
         assert read_coptw(depot_only.format(1)).team_size == 1
         with pytest.raises(ValidationError, match="team size 2 exceeds 1"):
             read_coptw(depot_only.format(2))
+
+    @pytest.mark.parametrize("field, row, message", [
+        ("open", "0 40.0 50.0 0.0 0.0 5.0 1236.0 0", "depot must open at time 0"),
+        ("duration", "0 40.0 50.0 5.0 0.0 0.0 1236.0 0", "depot service duration must be 0"),
+    ])
+    def test_depot_opens_at_zero_without_service(self, tmp_path, field, row, message):
+        # the heuristic's slot walk and the exact search take the depot's
+        # start plus service, s[0] + dur[0], as 0.0 without a case of their own
+        inst = augment(parse_solomon(SOLOMON_SAMPLE), seed=1)
+        depot = dataclasses.replace(inst.vertices[0], **{field: 5.0})
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(inst, vertices=[depot, *inst.vertices[1:]])
+        text = write_coptw(inst)
+        depot_row = "\n0 40.0 50.0 0.0 0.0 0.0 1236.0 0\n"
+        assert text.count(depot_row) == 1
+        path = tmp_path / "depot.coptw"
+        path.write_text(text.replace(depot_row, f"\n{row}\n"))
+        with pytest.raises(ValidationError, match=message):
+            read_coptw(path.read_text())
+        assert main(["solve", str(path)]) == 2
+        assert not path.with_suffix(".sol").exists()
 
     def test_nonfinite_coordinates_rejected(self):
         text = SOLOMON_SAMPLE.replace("45.0 68.0", f"{math.inf} 68.0")
