@@ -114,18 +114,18 @@ def prepare(instance: Instance) -> Prepared:
 
 
 class _Workspace:
-    """Mutable routes, visit counts, a member index and the current
-    start-time fixed point over one Prepared instance, whose lists it
-    reads and never copies.  Each slot scan walks a route once, as its
-    gaps (u, w) with the depot at both ends, and reads one arc row per
-    side of the new visit v: `into[v]` for u -> v and `feas[v]` for v -> w.
+    """Mutable routes, a member index and the current start-time fixed
+    point over one Prepared instance, whose lists it reads and never
+    copies.  Each slot scan walks a route once, as its gaps (u, w) with the
+    depot at both ends, and reads one arc row per side of the new visit v:
+    `into[v]` for u -> v and `feas[v]` for v -> w.
 
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
-    0 for the depot.  `from_solution` builds it from the routes; `_commit`,
-    `force_place` and `drop` keep it in step at O(req) per visit.  `s` is
-    replaced, never changed in place, so a move can keep the old list to
-    undo itself.
+    0 for the depot, so `len(links[x])` is x's visit count.
+    `from_solution` builds it from the routes; `_commit`, `force_place` and
+    `drop` keep it in step at O(req) per visit.  `s` is replaced, never
+    changed in place, so a move can keep the old list to undo itself.
     """
 
     def __init__(self, prep: Prepared):
@@ -136,7 +136,6 @@ class _Workspace:
         self.team_size = prep.instance.team_size
         self.routes: list[list[int]] = [[] for _ in range(self.team_size)]
         self.links: list[list[list[int]]] = [[] for _ in range(self.tt.n)]
-        self.count = [0] * self.tt.n
         self.s = list(self.tt.open)
 
     @classmethod
@@ -151,7 +150,6 @@ class _Workspace:
             raise ValueError(f"input solution is infeasible ({family}: {detail})")
         ws = cls(prep)
         ws.routes = [list(route) for route in solution.routes]
-        ws.count = solution.visit_counts(ws.tt.n)
         ws.s = s
         ws._index()
         return ws
@@ -165,7 +163,6 @@ class _Workspace:
         ws.team_size = self.team_size
         ws.routes = [list(route) for route in self.routes]
         ws._index()
-        ws.count = list(self.count)
         ws.s = self.s
         return ws
 
@@ -219,7 +216,6 @@ class _Workspace:
     def _place(self, m: int, pos: int, v: int) -> None:
         self._link(m, pos, v)
         self.routes[m].insert(pos, v)
-        self.count[v] += 1
 
     def drop(self, v: int) -> None:
         """Remove every visit of v.  The caller sets the starts."""
@@ -227,7 +223,6 @@ class _Workspace:
             self.routes[m].remove(v)
             self._relink(m, u, w)
         self.links[v] = []
-        self.count[v] = 0
 
     # -- candidate generation -------------------------------------------------
 
@@ -314,7 +309,7 @@ class _Workspace:
         r = self.tt.req[v]
         if r > self.team_size:
             return False
-        while self.count[v] < r:
+        while len(self.links[v]) < r:
             if not self.try_place_one(v):
                 return False
         return True
@@ -333,7 +328,7 @@ class _Workspace:
         doomed = {
             v
             for v in range(1, self.tt.n)
-            if 0 < self.count[v] < self.tt.req[v]
+            if 0 < len(self.links[v]) < self.tt.req[v]
         }
         self.remove_vertices(doomed)
 
@@ -431,7 +426,6 @@ class _Workspace:
         self.drop(v)
         self.s = s
         if not self.force_place(v):
-            self.drop(v)
             return
         if self._doomed(v):
             self.drop(v)
@@ -585,7 +579,7 @@ def improve(prep: Prepared, solution: Solution) -> Solution:
     """
     ws = _Workspace.from_solution(prep, solution)
     tt = ws.tt
-    unvisited = [v for v in range(1, tt.n) if ws.count[v] == 0 and tt.req[v] <= ws.team_size]
+    unvisited = [v for v in range(1, tt.n) if not ws.links[v] and tt.req[v] <= ws.team_size]
     for v in sorted(unvisited, key=lambda v: (-tt.reward[v], v)):
         ws.substitute(v)
     return ws.to_solution()

@@ -130,10 +130,8 @@ def _validate_vertices(vertices: list[Vertex]) -> None:
             raise ValidationError(
                 f"vertex {v.id}: window opens at {v.open} after closing at {v.close}"
             )
-    if vertices:
-        depot = vertices[0]
-        if depot.reward != 0:
-            raise ValidationError("depot reward must be 0")
+    if vertices[0].reward != 0:
+        raise ValidationError("depot reward must be 0")
 
 
 def _check_team_size(instance: Instance) -> Instance:

@@ -28,13 +28,16 @@ order, as the rule over all candidates does, so it is the same float.
 
 Appending v to the open route changes no other customer's count and
 leaves v missing no more visits than the unopened routes give, so a
-child's live list is its parent's, less v when v completes.  A child whose
-score does not beat the incumbent would record nothing on entry, so its
-parent counts it, decides its bound in its own loop and expands only the
-children that survive.  The root, a new route and a child with a better
-score are counted, recorded and bounded on entry.  Either way each node is
-counted and cut where it was when every node did all three on entry, so
-the tree, the node counts and where the limits stop are unchanged.
+child's live list is its parent's, less v when v completes.  Every node
+but the root is counted, recorded and bounded in its parent's loop by one
+rule: count it, record it only when its score beats the incumbent, then
+expand it only when its bound does.  An appended child applies the reach
+test to the list it inherits; a new route keeps its parent's score, so it
+records nothing, and it applies the count rule, which changes with the
+routes left.  The root is counted and bounded by the same rule over every
+candidate.  Each node is counted and cut where it was when every node did
+all three on entry, so the tree, the node counts and where the limits
+stop are unchanged.
 
 The search starts from a verified incumbent, by default the savings
 heuristic's best solution: the bound cuts from the root on, and the
@@ -122,7 +125,6 @@ class _Search:
 
         self.routes: list[list[int]] = [[]]
         self.links = RouteScan(self.routes)  # routes change in place only
-        self.open_set: set[int] = set()
         self.count = [0] * n
         self.score = 0.0
         self.s = list(self.tt.open)
@@ -140,7 +142,6 @@ class _Search:
         """The entries of `cands` the count rule keeps at this node, in
         order, and the reward of those the reach rule also keeps."""
         unopened = self.team_size - len(self.routes)
-        open_set = self.open_set
         count = self.count
         req = self.req
         reward = self.reward
@@ -158,7 +159,7 @@ class _Search:
                 continue
             # v misses more visits than the routes that can still add one
             if c + unopened < r:
-                if c + unopened + 1 < r or v in open_set:
+                if c + unopened + 1 < r or v in open_route:
                     continue
                 live.append(v)
                 if depart + t_last[v] > reach_close[v]:
@@ -169,8 +170,6 @@ class _Search:
         return live, completable
 
     def _record_incumbent(self) -> None:
-        if self.score <= self.best_score:
-            return
         stripped = [
             [v for v in route if self.count[v] >= self.req[v]]
             for route in self.routes
@@ -188,19 +187,10 @@ class _Search:
             self.complete = False
             raise _LimitReached
 
-    def _enter(self, prev: list[int], lex_gt: bool, cands: list[int]) -> None:
-        """Count the current node, record it, and expand it if its bound
-        beats the incumbent; `cands` contains its live list: the list of a
-        node above it, or every candidate at the root."""
-        self._count_node()
-        self._record_incumbent()
-        live, completable = self._live(cands)
-        if self.score + completable > self.best_score:
-            self._expand(prev, lex_gt, live)
-
     def _expand(self, prev: list[int], lex_gt: bool, live: list[int]) -> None:
         """Branch on the current node, whose bound beats the incumbent;
-        `live` is its live list."""
+        `live` is its live list.  Each child is counted, recorded when
+        its score beats the incumbent, and expanded when its bound does."""
         tt = self.tt
         t = tt.t
         dur = tt.dur
@@ -210,7 +200,6 @@ class _Search:
         req = self.req
         reward = self.reward
         reach_close = self.reach_close
-        open_set = self.open_set
         s = self.s  # children that replace self.s put this list back
         open_route = self.routes[-1]
         last = open_route[-1] if open_route else 0
@@ -220,7 +209,7 @@ class _Search:
         unopened = self.team_size - len(self.routes)
         for v in self.succ[last]:
             c_old = count[v]
-            if c_old >= req[v] or v in open_set:
+            if c_old >= req[v] or v in open_route:
                 continue
             if not lex_gt:
                 if depth < len(prev) and v < prev[depth]:
@@ -251,39 +240,34 @@ class _Search:
                 s_save = s
                 self.s = s_new
                 s_v = s_new[v]
-            open_set.add(v)
             count[v] = c_old + 1
             # restored by assignment: `-=` drifts for non-integer rewards
             score = self.score
             if c_old + 1 == req[v]:
                 self.score = score + reward[v]
+            self._count_node()
             if self.score > self.best_score:
-                self._enter(prev, child_gt, live)
+                self._record_incumbent()
+            # no list is changed once built, so the child shares this
+            # node's list unless v completes and leaves it
+            if c_old + 1 < req[v]:
+                keep = live
             else:
-                # the child's incumbent check would do nothing: count it
-                # and decide its bound here, from this node's live list
-                self._count_node()
-                # no list is changed once built, so the child shares this
-                # node's list unless v completes and leaves it
-                if c_old + 1 < req[v]:
-                    keep = live
-                else:
-                    keep = live.copy()
-                    keep.remove(v)
-                t_v = t[v]
-                depart_v = s_v + dur[v]
-                completable = 0.0
-                for w in keep:
-                    # only a customer that needs the open route can miss it
-                    if (count[w] + unopened < req[w]
-                            and depart_v + t_v[w] > reach_close[w]):
-                        continue
-                    completable += reward[w]
-                if self.score + completable > self.best_score:
-                    self._expand(prev, child_gt, keep)
+                keep = live.copy()
+                keep.remove(v)
+            t_v = t[v]
+            depart_v = s_v + dur[v]
+            completable = 0.0
+            for w in keep:
+                # only a customer that needs the open route can miss it
+                if (count[w] + unopened < req[w]
+                        and depart_v + t_v[w] > reach_close[w]):
+                    continue
+                completable += reward[w]
+            if self.score + completable > self.best_score:
+                self._expand(prev, child_gt, keep)
             self.score = score
             count[v] = c_old
-            open_set.remove(v)
             if s_save is not None:
                 self.s = s_save
             else:
@@ -291,15 +275,21 @@ class _Search:
             open_route.pop()
         if open_route and len(self.routes) < self.team_size:
             if lex_gt or len(open_route) == len(prev):
+                # closing the route keeps the score: nothing to record
+                self._count_node()
                 self.routes.append([])
-                self.open_set = set()
-                self._enter(open_route, False, live)
-                self.open_set = open_set
+                keep, completable = self._live(live)
+                if self.score + completable > self.best_score:
+                    self._expand(open_route, False, keep)
                 self.routes.pop()
 
     def run(self) -> OracleResult:
         try:
-            self._enter([], True, self.bound_candidates)
+            # the root's score, 0, beats no incumbent: nothing to record
+            self._count_node()
+            live, completable = self._live(self.bound_candidates)
+            if self.score + completable > self.best_score:
+                self._expand([], True, live)
         except _LimitReached:
             pass
         routes = [list(r) for r in self.best_routes]

@@ -195,7 +195,9 @@ def insert_starts(
     in links[v], and its neighbours' succ and pred pointing at v) and
     unlinks it afterwards if it is not kept.  `s` must be the fixed point of
     the routing without that visit, with every unvisited vertex at its
-    opening time.
+    opening time.  The depot is never visited, so it is read as an ordinary
+    predecessor: `Instance` makes it open at 0 with no service time, and
+    `s[0] + dur[0] + t[0][x]` is `t[0][x]` bit for bit.
 
     A work list seeded with v recomputes each popped start exactly as
     relax_starts does, the maximum of its opening and every member's
@@ -225,7 +227,7 @@ def insert_starts(
         start = opens[x]
         entries = links[x]
         for _, u, _ in entries:
-            arr = s[u] + dur[u] + t[u][x] if u else t[0][x]
+            arr = s[u] + dur[u] + t[u][x]
             if arr > start:
                 start = arr
         if x == v and fresh:

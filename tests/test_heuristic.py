@@ -119,7 +119,7 @@ class TestConstruct:
             report = check_solution(inst, ws.to_solution())
             partial = {
                 u for u in range(1, inst.n_vertices)
-                if 0 < ws.count[u] < inst.requirements[u]
+                if 0 < len(ws.links[u]) < inst.requirements[u]
             }
             rest = [
                 (family, u) for family, u in report.violations
@@ -151,7 +151,7 @@ class TestConstruct:
         def check(ws):
             scan = RouteScan(ws.routes)
             assert ws.links == [scan[x] for x in range(ws.tt.n)]
-            assert ws.count == Solution(ws.routes).visit_counts(ws.tt.n)
+            assert [len(e) for e in ws.links] == Solution(ws.routes).visit_counts(ws.tt.n)
             assert ws.s[0] == 0.0  # the slot walk's depot arrival is t[0][v]
 
         def checked(name, fn, key=None):
@@ -327,7 +327,7 @@ def check_slot_scans(inst, rng):
         for v in order[:depth]:
             ws.top_up(v)
         for v in range(1, inst.n_vertices):
-            visited += ws.count[v] > 0
+            visited += bool(ws.links[v])
             assert ws._slots(v) == reference_slots(ws, v, True) + reference_slots(ws, v, False)
             forced = ws.copy()
             expected = reference_force_place(ws, v)
@@ -487,13 +487,12 @@ class TestDecidedMoves:
                 fast = _Workspace.from_solution(prep, built)
                 slow = FullRelaxation.from_solution(prep, built)
                 unvisited = [v for v in range(1, tt.n)
-                             if fast.count[v] == 0 and tt.req[v] <= team_size]
+                             if not fast.links[v] and tt.req[v] <= team_size]
                 for v in sorted(unvisited, key=lambda v: (-tt.reward[v], v)):
                     fast.substitute(v)
                     slow.substitute(v)
                     assert fast.routes == slow.routes
                     assert fast.links == slow.links
-                    assert fast.count == slow.count
                     assert fast.s == slow.s
                 assert fast.to_solution() == improve(prep, built)
         # the bound decides some moves but not all
@@ -650,7 +649,6 @@ class TestSharedPrefixes:
                 for entry in entries:
                     entry[:] = [-1, -1, -1]
                 entries.append([-1, -1, -1])
-            ws.count[:] = [-1] * len(ws.count)
 
         monkeypatch.setattr(_Plan, "start", recorded)
         rng = random.Random(67)
@@ -671,11 +669,9 @@ class TestSharedPrefixes:
         walk(ws, prep, parameter_grid()[0])
         copy = ws.copy()
         lists = [ws.routes, *ws.routes, ws.links, *ws.links,
-                 *(entry for entries in ws.links for entry in entries),
-                 ws.count]
+                 *(entry for entries in ws.links for entry in entries)]
         copied = [copy.routes, *copy.routes, copy.links, *copy.links,
-                  *(entry for entries in copy.links for entry in entries),
-                  copy.count]
+                  *(entry for entries in copy.links for entry in entries)]
         assert lists == copied
         assert not {id(x) for x in lists} & {id(x) for x in copied}
         assert copy.s is ws.s

@@ -109,7 +109,6 @@ class TestExactSolve:
 
         search = _Search(prepare(inst), OracleConfig())
         search.routes = [[1]]
-        search.open_set = {1}
         search.count[1] = 1
         search.s[1] = 10.0
         assert search._bound() == 11.0  # one unopened route: 2 still counts
@@ -135,7 +134,6 @@ class TestExactSolve:
         )
         search = _Search(prepare(inst), OracleConfig())
         search.routes = [[1]]
-        search.open_set = {1}
         search.count[1] = 1
         search.s[1] = 85.0
         search.score = 1.0
@@ -203,36 +201,41 @@ class TestExactSolve:
         assert fired > 0
 
     def test_inherited_lists_match_the_rule_from_scratch(self, monkeypatch):
-        # a node's live list is filtered from a list of a node above it:
-        # in _enter (the root, a new route, a child that beats the
-        # incumbent) and in its parent's child loop (every other child).
+        # a node's live list is filtered from its parent's: the root's from
+        # every candidate in run, every other node's in its parent's loop,
+        # where an appended child and a new route each have one bound line.
         # At each of those nodes the list and the reward it counts must be
         # _live over all candidates, bit for bit
         live = _Search._live
         checked = {"entered": 0, "decided": 0}
 
         def entering(search, cands):
+            # the count rule runs only where the open route is empty: at
+            # the root and at a new route's first node
+            assert not search.routes[-1]
             got = live(search, cands)
             assert got == live(search, search.bound_candidates)
             checked["entered"] += 1
             return got
 
-        # the parent-side decision is inline, so a line tracer reads its
-        # locals where the child's bound is compared
+        # the decisions are inline, so a line tracer reads their locals
+        # where the child's bound is compared
         lines, first = inspect.getsourcelines(_Search._expand)
-        marks = [first + i for i, line in enumerate(lines)
-                 if "self.score + completable > self.best_score" in line]
-        assert len(marks) == 1
+        marks = {first + i for i, line in enumerate(lines)
+                 if "self.score + completable > self.best_score" in line}
+        assert len(marks) == 2
         code = _Search._expand.__code__
+        hits = set()
 
         def tracer(frame, event, arg):
             if frame.f_code is not code:
                 return None
-            if event == "line" and frame.f_lineno == marks[0]:
+            if event == "line" and frame.f_lineno in marks:
                 search = frame.f_locals["self"]
                 got = (frame.f_locals["keep"], frame.f_locals["completable"])
                 assert got == live(search, search.bound_candidates)
                 checked["decided"] += 1
+                hits.add(frame.f_lineno)
             return tracer
 
         monkeypatch.setattr(_Search, "_live", entering)
@@ -252,6 +255,7 @@ class TestExactSolve:
         finally:
             sys.settrace(old)
         assert checked["entered"] > 0 and checked["decided"] > 0
+        assert hits == marks
 
     def test_incumbent_consistency(self):
         rng = random.Random(502)
