@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .heuristic import solve
-from .instances import ParseError, ValidationError, augment, parse_benchmark, truncate
+from .instances import augment, parse_benchmark, truncate
 from .oracle import OracleConfig, exact_solve, optimality_gap
 from .scheduling import check_solution
 
@@ -156,7 +156,7 @@ def run_bench(
         name = path.stem
         try:
             raw = parse_benchmark(path.read_text())
-        except (OSError, ParseError, ValidationError) as exc:
+        except (OSError, ValueError) as exc:  # a ParseError, ValidationError or bad byte
             print(f"bench: skipping {path}: {exc}", file=log)
             for size in sizes:
                 for team_size in members:
@@ -175,7 +175,7 @@ def run_bench(
                             workers=workers, run_oracle=run_oracle,
                         )
                     )
-                except (ValueError, ValidationError) as exc:
+                except ValueError as exc:
                     print(
                         f"bench: {name} n={size} P={team_size} failed: {exc}",
                         file=log,

@@ -33,7 +33,7 @@ EXIT_INPUT = 2
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

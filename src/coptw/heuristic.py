@@ -52,12 +52,13 @@ saved at the end of its longest prefix shared with the walk before it
 triplets still reach the same routes, so the run then improves each
 distinct construction once, keyed by its routes, and maps the results
 back onto the grid, keeping the best score (earliest triplet wins
-ties).  In parallel processes the
-construction phase splits the grid into contiguous runs of triplets, one
-per process, each planned on its own; the improvements are independent
-calls.  Neither changes the result.  All read the distances, arcs, travel
-times and saving terms of one Prepared instance, built once per solve or
-exact_solve.
+ties).  In parallel processes the grid splits into contiguous runs of
+triplets, one per process, and each run is constructed and improved by
+one call (_solve_run): a construction two runs share is improved in
+each, to the same solution, so the split changes nothing but the wall
+time.  All calls read the distances, arcs, travel times and saving terms
+of one Prepared instance, built once per solve or exact_solve and passed
+to each call; no module state is kept.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .geometry import build_arc_set, build_distance_matrix
@@ -123,8 +124,8 @@ class _Workspace:
     `links[x]` is the member index insert_starts reads: one
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
     0 for the depot, so `len(links[x])` is x's visit count.
-    `from_solution` builds it from the routes; `_commit`, `force_place` and
-    `drop` keep it in step at O(req) per visit.  `s` is replaced, never
+    `from_solution` builds it from the routes; `_try_slot`, `force_place`
+    and `drop` keep it in step at O(req) per visit.  `s` is replaced, never
     changed in place, so a move can keep the old list to undo itself.
     """
 
@@ -284,23 +285,23 @@ class _Workspace:
     # -- feasibility-gated insertion ------------------------------------------
 
     def _try_slot(self, m: int, pos: int, v: int) -> list[float] | None:
+        """Place v before routes[m][pos] if the schedule stays feasible and
+        return the new starts; otherwise change nothing and return None."""
         self._link(m, pos, v)
         s_new = insert_starts(self.tt, self.links, self.s, v)
-        self._unlink(m, v)
+        if s_new is None:
+            self._unlink(m, v)
+        else:
+            self.routes[m].insert(pos, v)
+            self.s = s_new
         return s_new
-
-    def _commit(self, m: int, pos: int, v: int, s_new: list[float]) -> None:
-        self._place(m, pos, v)
-        self.s = s_new
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v at the first slot of _slots, route
         ends before interiors, whose schedule stays feasible.  A rejected
         trial changes nothing, so one scan serves every trial."""
         for _, m, pos in self._slots(v):
-            s_new = self._try_slot(m, pos, v)
-            if s_new is not None:
-                self._commit(m, pos, v, s_new)
+            if self._try_slot(m, pos, v) is not None:
                 return True
         return False
 
@@ -591,18 +592,6 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-# The Prepared instance every construct and improve call of one solve
-# reads.  A pool's initializer sets it once in each worker, so it is shipped
-# once per worker instead of once per task; a serial solve sets it in the
-# calling process for the length of its loop.
-_shared: Prepared | None = None
-
-
-def _share(prep: Prepared | None) -> None:
-    global _shared
-    _shared = prep
-
-
 def _slices(items: list, parts: int) -> list[list]:
     """`items` cut into `parts` contiguous runs, their lengths at most one
     apart."""
@@ -611,63 +600,56 @@ def _slices(items: list, parts: int) -> list[list]:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _construct_run(grid: list[SavingParams]) -> list[Solution]:
-    """Construct a run of triplets, planned together; the results in grid
-    order."""
-    return _Plan(_shared, grid).construct_all()
-
-
-def _improve_one(solution: Solution) -> Solution:
-    return improve(_shared, solution)
+def _solve_run(prep: Prepared, grid: list[SavingParams]) -> list[tuple[float, Solution]]:
+    """Construct a run of triplets, planned together, then improve each
+    distinct construction once, in first-seen grid order; the (objective,
+    solution) outcomes in grid order.  The key is the routes, member order
+    included; it is exact because a solution is its routes and `improve`
+    is deterministic."""
+    built = _Plan(prep, grid).construct_all()
+    keys = [tuple(map(tuple, sol.routes)) for sol in built]
+    results: dict[tuple, tuple[float, Solution]] = {}
+    for key, sol in zip(keys, built):
+        if key not in results:
+            improved = improve(prep, sol)
+            results[key] = (objective(prep.instance, improved), improved)
+    return [results[key] for key in keys]
 
 
 def solve(instance: Instance | Prepared, workers: int = 1) -> SolverResult:
     """Construct every coefficient triplet, improve each distinct
     construction once and keep the best solution.
 
-    Phase 1 plans the grid's walks together (_Plan) and calls `construct`
-    once per triplet in sorted call order, each resuming from the deepest
-    state an earlier walk shares with it, and keeps the results in grid
-    order.  Phase 2 calls `improve` once per distinct construction, in
-    first-seen grid order.  The key is the routes, member order included;
-    it is exact because a solution is its routes and `improve` is
-    deterministic.  Each triplet then takes the improved result of its
+    The grid is cut into contiguous runs of triplets, one per process, and
+    each run is one _solve_run call: it plans its walks together (_Plan),
+    calls `construct` once per triplet in sorted call order, each resuming
+    from the deepest state an earlier walk shares with it, then calls
+    `improve` once per distinct construction of the run, in first-seen
+    grid order.  Each triplet takes the improved result of its
     construction, so `triplet_scores` has one entry per triplet and the
-    earliest triplet wins ties.  With `workers` above 1 both phases run on
-    one process pool, which changes nothing but the wall time: phase 1
-    maps one contiguous run of the grid to each process, planned within
-    that run, and phase 2 maps the constructions.
-    One Prepared instance is shared by every call; a pool receives it once
-    per worker, through its initializer, and each task carries only its
-    triplets or construction.  `instance` may be that Prepared instance
-    itself, as `exact_solve` passes it; `wall_time` then excludes its
-    `prepare`."""
+    earliest triplet wins ties.  With `workers` above 1 the runs go to a
+    process pool, which changes nothing but the wall time: a construction
+    that two runs share is improved once in each, to the same solution.
+    Serially the whole grid is one run.  Every call of a run reads one
+    Prepared instance, which each process receives once, as its run's
+    argument; `solve` keeps no state between calls, so it is reentrant.
+    `instance` may be that Prepared instance itself, as `exact_solve`
+    passes it; `wall_time` then excludes its `prepare`."""
     t0 = time.perf_counter()
     grid = parameter_grid()
     prep = instance if isinstance(instance, Prepared) else prepare(instance)
     processes = _pool_size(workers, len(grid))
     with contextlib.ExitStack() as stack:
         if processes == 1:
-            stack.callback(_share, _shared)
-            _share(prep)
             run = map
         else:
             # imported only here: the process machinery adds ~30 ms to every
             # import of the package, and serial solves never use it
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=processes, initializer=_share,
-                                       initargs=(prep,))
-            run = stack.enter_context(pool).map
-        built = list(chain.from_iterable(run(_construct_run, _slices(grid, processes))))
-        keys = [tuple(map(tuple, sol.routes)) for sol in built]
-        distinct: dict[tuple, Solution] = {}  # routes -> construction, first seen first
-        for key, sol in zip(keys, built):
-            distinct.setdefault(key, sol)
-        improved = run(_improve_one, distinct.values())
-        results = {key: (objective(prep.instance, sol), sol)
-                   for key, sol in zip(distinct, improved)}
-    outcomes = [results[key] for key in keys]
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map
+        outcomes = list(chain.from_iterable(run(_solve_run, repeat(prep),
+                                                _slices(grid, processes))))
     best_idx = 0
     for idx in range(1, len(outcomes)):
         if outcomes[idx][0] > outcomes[best_idx][0]:

@@ -75,6 +75,13 @@ class TestAugmentCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["augment", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("command", ["augment", "solve", "oracle"])
+    def test_undecodable_file_named_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00garbage\x80\x81")
+        assert main([command, str(bad)]) == 2
+        assert f"cannot read {bad}" in capsys.readouterr().err
+
 
 class TestSolveVerifyOracle:
     def make_coptw(self, tmp_path, seed=1):
@@ -245,20 +252,28 @@ class TestBenchCommand:
             outputs.append(csv_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_unparseable_file_recorded_and_skipped(self, tmp_path, capsys):
+    def assert_bad_file_skipped(self, tmp_path, capsys, content: bytes):
+        # the bad file is logged as skipped and recorded as a failed row
         indir = tmp_path / "in"
         indir.mkdir()
         (indir / "s100_1.txt").write_text(SOLOMON_SMALL)
-        (indir / "zzz_1.txt").write_text("garbage file\n")
+        (indir / "zzz_1.txt").write_bytes(content)
         csv_path = tmp_path / "out.csv"
         assert main([
             "bench", str(indir), "-o", str(csv_path),
             "--sizes", "3", "--members", "2", "--no-oracle",
         ]) == 0
+        assert f"skipping {indir / 'zzz_1.txt'}" in capsys.readouterr().err
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 3
         bad_row = [ln for ln in lines if ln.startswith("zzz")]
         assert bad_row and ",,," in bad_row[0]
+
+    def test_unparseable_file_recorded_and_skipped(self, tmp_path, capsys):
+        self.assert_bad_file_skipped(tmp_path, capsys, b"garbage file\n")
+
+    def test_undecodable_file_recorded_and_skipped(self, tmp_path, capsys):
+        self.assert_bad_file_skipped(tmp_path, capsys, b"\xff\xfe\x00garbage\x80\x81")
 
     def test_nan_oracle_limit_exit_2(self, tmp_path):
         # nan used to reach every row's search as a limit it never hit

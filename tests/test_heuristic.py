@@ -3,6 +3,8 @@ import json
 import os
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from itertools import chain
 
@@ -25,7 +27,8 @@ from coptw import (
     truncate,
 )
 from coptw import heuristic, savings
-from coptw.heuristic import _call_orders, _Plan, _pool_size, _slices, _Workspace
+from coptw.heuristic import (_call_orders, _Plan, _pool_size, _slices, _solve_run,
+                              _Workspace)
 from coptw.savings import calc_saving_pairs
 from coptw.scheduling import RouteScan
 
@@ -108,13 +111,14 @@ class TestConstruct:
         inst = random_instance(rng, 8, team_size=3)
         prep = prepare(inst)
         calls = {"commit": 0, "substitute": 0}
-        commit = _Workspace._commit
+        try_place_one = _Workspace.try_place_one
         substitute = _Workspace.substitute
 
-        def checked_commit(ws, m, pos, v, s_new):
+        def checked_place(ws, v):
             # mid-construction, a visited vertex may still be short of its
             # requirement; every other violation is a bug
-            commit(ws, m, pos, v, s_new)
+            if not try_place_one(ws, v):
+                return False
             calls["commit"] += 1
             report = check_solution(inst, ws.to_solution())
             partial = {
@@ -126,6 +130,7 @@ class TestConstruct:
                 if not (family == "requirement" and u in partial)
             ]
             assert rest == [], rest
+            return True
 
         def checked_substitute(ws, v):
             # improve starts every move from a complete, feasible solution
@@ -134,7 +139,7 @@ class TestConstruct:
             assert report.feasible, report.violations
             return substitute(ws, v)
 
-        monkeypatch.setattr(_Workspace, "_commit", checked_commit)
+        monkeypatch.setattr(_Workspace, "try_place_one", checked_place)
         monkeypatch.setattr(_Workspace, "substitute", checked_substitute)
         sol = construct(prep, SavingParams(1.4, 0.7, 2.1))
         sol = improve(prep, sol)
@@ -144,8 +149,8 @@ class TestConstruct:
     def test_member_index_follows_the_routes(self, monkeypatch):
         # after every change to the routes, links must equal the index read
         # off the routes afresh: [m, pred, succ] per visit, ascending m
-        seen = {"_commit": 0, "undo": 0, "trade": 0, "force_place": 0, "from_solution": 0,
-                "remove_vertices": 0}
+        seen = {"commit": 0, "reject": 0, "undo": 0, "trade": 0, "force_place": 0,
+                "from_solution": 0, "remove_vertices": 0}
         moving = []  # the vertex of the substitution move in progress
 
         def check(ws):
@@ -157,7 +162,7 @@ class TestConstruct:
         def checked(name, fn, key=None):
             def wrapper(ws, *args):
                 result = fn(ws, *args)
-                seen[key(ws, *args) if key else name] += 1
+                seen[key(ws, result, *args) if key else name] += 1
                 check(ws)
                 return result
             monkeypatch.setattr(_Workspace, name, wrapper)
@@ -170,9 +175,10 @@ class TestConstruct:
             moving.pop()
 
         monkeypatch.setattr(_Workspace, "substitute", tracked_substitute)
-        checked("_commit", _Workspace._commit)
+        checked("try_place_one", _Workspace.try_place_one,
+                lambda ws, placed, v: "commit" if placed else "reject")
         checked("drop", _Workspace.drop,
-                lambda ws, v: "trade" if moving and v != moving[-1] else "undo")
+                lambda ws, _, v: "trade" if moving and v != moving[-1] else "undo")
         checked("force_place", _Workspace.force_place)
         checked("remove_vertices", _Workspace.remove_vertices)
         from_solution = _Workspace.from_solution.__func__
@@ -999,8 +1005,8 @@ class TestSolve:
         assert len(improved) < len(keys)
 
     def test_parallel_equals_serial(self, data_dir):
-        # the desk row repeats constructions, so the pool's second phase
-        # must map its improved results back onto the grid
+        # the desk row repeats constructions, so each run must map its
+        # improved results back onto its triplets
         for inst in (random_instance(random.Random(42), 7, team_size=3), desk_row(data_dir)):
             prep = prepare(inst)
             assert len({routes_key(construct(prep, p)) for p in parameter_grid()}) < 54
@@ -1010,6 +1016,54 @@ class TestSolve:
             assert serial.best_solution == parallel.best_solution
             assert serial.best_params == parallel.best_params
             assert serial.triplet_scores == parallel.triplet_scores
+
+    def test_any_split_gives_the_serial_outcomes(self, data_dir):
+        # a pool of k processes cuts the grid into k runs; each run improves
+        # its own distinct constructions, so one that two runs share is
+        # improved in both, and the outcomes must not change
+        grid = parameter_grid()
+        for inst in (desk_row(data_dir), random_instance(random.Random(6), 12, team_size=3)):
+            prep = prepare(inst)
+            whole = _solve_run(prep, grid)
+            assert len(whole) == len(grid)
+            for k in range(1, 6):
+                runs = _slices(grid, k)
+                assert list(chain.from_iterable(_solve_run(prep, run) for run in runs)) == whole
+                built = [set(map(routes_key, _Plan(prep, run).construct_all())) for run in runs]
+                shared = sum(map(len, built)) - len(set().union(*built))
+                assert (shared > 0) == (k > 1)
+
+    def test_concurrent_solves_are_independent(self):
+        # two threads solving two instances at once must each get the result
+        # of its own serial solve; a tiny switch interval makes them
+        # interleave inside the solves
+        insts = [random_instance(random.Random(1), 20, team_size=3),
+                 random_instance(random.Random(2), 25, team_size=4)]
+        serial = [solve(inst) for inst in insts]
+        results, errors = [None, None], []
+
+        def run(i):
+            try:
+                results[i] = solve(insts[i])
+            except Exception as exc:  # reported below, with the thread's index
+                errors.append((i, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for got, want in zip(results, serial):
+            assert got.best_score == want.best_score
+            assert got.best_solution == want.best_solution
+            assert got.best_params == want.best_params
+            assert got.triplet_scores == want.triplet_scores
 
     def test_saving_terms_built_once_per_solve(self, monkeypatch):
         calls = []
