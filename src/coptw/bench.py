@@ -16,7 +16,6 @@ clock; pass times='zero' to blank them when byte-stable output matters).
 
 from __future__ import annotations
 
-import io
 import sys
 import time
 from dataclasses import dataclass
@@ -39,12 +38,13 @@ class BenchRow:
     instance_name: str
     customers: int
     team_size: int
-    mcw_score: float | None
-    oracle_score: float | None
-    gap_percent: float | None
-    mcw_time: float | None
-    oracle_time: float | None
-    proven_optimal: bool
+    # a failed row keeps these defaults: empty numeric columns, not proven
+    mcw_score: float | None = None
+    oracle_score: float | None = None
+    gap_percent: float | None = None
+    mcw_time: float | None = None
+    oracle_time: float | None = None
+    proven_optimal: bool = False
 
     def to_csv(self, times: str = "wall") -> str:
         def num(x):
@@ -70,11 +70,6 @@ class BenchRow:
                 "true" if self.proven_optimal else "false",
             ]
         )
-
-
-def set_name_of(path: Path) -> str:
-    stem = path.stem
-    return stem.split("_", 1)[0] if "_" in stem else stem
 
 
 def bench_one(
@@ -132,12 +127,10 @@ def run_bench(
     oracle_limit: float = 300.0,
     workers: int = 1,
     run_oracle: bool = True,
-    log: io.TextIOBase | None = None,
 ) -> list[BenchRow]:
-    """Benchmark every (file, size, P) combination; failures are recorded as
-    rows with empty numeric columns and the harness moves on."""
-    if log is None:
-        log = sys.stderr
+    """Benchmark every (file, size, P) combination.  A file that cannot be
+    read or parsed, and a row that fails, are reported on stderr and recorded
+    as rows with empty numeric columns; the harness moves on."""
     # a bad limit, size, team size or r_max is an input error for the whole
     # run; inside the loop it would only be recorded as a failed row, once
     # per row.  A size above one file's customer count stays a row failure,
@@ -152,18 +145,14 @@ def run_bench(
                          "the largest size times r_max")
     rows: list[BenchRow] = []
     for path in sorted(files):
-        set_name = set_name_of(path)
         name = path.stem
+        set_name = name.split("_", 1)[0]
         try:
             raw = parse_benchmark(path.read_text())
         except (OSError, ValueError) as exc:  # a ParseError, ValidationError or bad byte
-            print(f"bench: skipping {path}: {exc}", file=log)
-            for size in sizes:
-                for team_size in members:
-                    rows.append(
-                        BenchRow(set_name, name, size, team_size,
-                                 None, None, None, None, None, False)
-                    )
+            print(f"bench: skipping {path}: {exc}", file=sys.stderr)
+            rows += [BenchRow(set_name, name, size, team_size)
+                     for size in sizes for team_size in members]
             continue
         for size in sizes:
             for team_size in members:
@@ -176,14 +165,9 @@ def run_bench(
                         )
                     )
                 except ValueError as exc:
-                    print(
-                        f"bench: {name} n={size} P={team_size} failed: {exc}",
-                        file=log,
-                    )
-                    rows.append(
-                        BenchRow(set_name, name, size, team_size,
-                                 None, None, None, None, None, False)
-                    )
+                    print(f"bench: {name} n={size} P={team_size} failed: {exc}",
+                          file=sys.stderr)
+                    rows.append(BenchRow(set_name, name, size, team_size))
     return rows
 
 

@@ -1,21 +1,26 @@
 """Command-line front end.
 
 Subcommands: augment, solve, verify, oracle, bench.  Exit status 0 on
-success, 1 when verification fails, 2 on input errors.
+success, 1 when verification fails, 2 on input errors.  Each file named on
+the command line is read through `_load` and each output is written through
+`_write`, so a path that cannot be read, decoded, parsed or written is an
+input error naming that path; `bench` checks its `-o` path before the first
+row runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .bench import format_summary, rows_to_csv, run_bench, summarize
 from .heuristic import solve as solve_heuristic
 from .instances import (
     ParseError,
-    ValidationError,
     augment,
     parse_benchmark,
     read_coptw,
@@ -30,19 +35,25 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """`parse` applied to the text of `path`.  A file that cannot be read or
+    decoded, or text that `parse` rejects, raises ParseError naming `path`."""
+    # UnicodeDecodeError is a ValueError: the read step is caught on its own
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _load_instance(path: str):
-    text = _read(path)
     try:
-        return read_coptw(text)
-    except (ParseError, ValidationError) as exc:
+        return parse(text)
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _workers(text: str) -> int:
@@ -53,18 +64,14 @@ def _workers(text: str) -> int:
 
 
 def _cmd_augment(args) -> int:
-    text = _read(args.input)
-    try:
-        raw = parse_benchmark(text, layout=args.layout)
-    except (ParseError, ValidationError) as exc:
-        raise ParseError(f"{args.input}: {exc}") from None
+    raw = _load(args.input, partial(parse_benchmark, layout=args.layout))
     if args.n is not None:
         raw = truncate(raw, args.n)
     instance = augment(
         raw, args.seed, args.r_max, team_size=args.members, velocity=args.velocity
     )
     out = Path(args.output) if args.output else Path(args.input).with_suffix(".coptw")
-    out.write_text(write_coptw(instance))
+    _write(out, write_coptw(instance))
     print(
         f"wrote {out}: {instance.n_customers} customers, P={instance.team_size}, "
         f"T_max={instance.t_max}, seed={args.seed}, r_max={args.r_max}"
@@ -73,10 +80,10 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, read_coptw)
     result = solve_heuristic(instance, workers=args.workers)
     out = Path(args.output) if args.output else Path(args.instance).with_suffix(".sol")
-    out.write_text(format_solution(result.best_solution, result.best_score))
+    _write(out, format_solution(result.best_solution, result.best_score))
     print(f"score: {result.best_score}")
     print(f"time: {result.wall_time:.2f}s")
     print(f"solution: {out}")
@@ -84,18 +91,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        solution, claimed = parse_solution(_read(args.solution))
-    except (ParseError, ValidationError) as exc:
-        raise ParseError(f"{args.solution}: {exc}") from None
-    report = check_solution(instance, solution)
+    instance = _load(args.instance, read_coptw)
+    solution, claimed = _load(args.solution, parse_solution)
     # an id outside the instance means the two files do not belong together
-    unknown = [detail for family, detail in report.violations
-               if family == "conservation" and "unknown vertex" in detail]
+    unknown = [v for route in solution.routes for v in route
+               if not 0 <= v < instance.n_vertices]
     if unknown:
         raise ParseError(f"{args.solution} does not match {args.instance}: "
-                         + unknown[0][unknown[0].index("unknown vertex"):])
+                         f"unknown vertex {unknown[0]}")
+    report = check_solution(instance, solution)
     score = objective(instance, solution)
     if report.feasible and claimed != score:
         report.feasible = False
@@ -112,7 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, read_coptw)
     config = OracleConfig(node_limit=args.node_limit, time_limit=args.time_limit)
     t0 = time.perf_counter()
     result = exact_solve(instance, config)
@@ -133,6 +137,11 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"no instance files in {directory}")
     sizes = [int(s) for s in args.sizes.split(",")]
     members = [int(s) for s in args.members.split(",")]
+    out = Path(args.output)
+    # checked without creating or truncating the file, so an input error
+    # found later leaves no CSV; `_write` still catches what this misses
+    if out.is_dir() or not os.access(out.parent, os.W_OK):
+        raise ParseError(f"cannot write {out}: not a file in a writable directory")
     rows = run_bench(
         files,
         sizes,
@@ -143,7 +152,7 @@ def _cmd_bench(args) -> int:
         workers=args.workers,
         run_oracle=not args.no_oracle,
     )
-    Path(args.output).write_text(rows_to_csv(rows, times=args.times))
+    _write(out, rows_to_csv(rows, times=args.times))
     print(format_summary(summarize(rows)))
     print(f"csv: {args.output}")
     return EXIT_OK
@@ -172,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="normalized COPTW file")
     p.add_argument("-o", "--output", help="solution path (default: instance with .sol suffix)")
     p.add_argument("--workers", type=_workers, default=1,
-                   help="parallel triplet evaluations (capped at the CPU count)")
+                   help="parallel triplet evaluations (capped at the usable CPUs)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against its instance")
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, default=3)
     p.add_argument("--oracle-limit", type=float, default=300.0)
     p.add_argument("--workers", type=_workers, default=1,
-                   help="parallel triplet evaluations (capped at the CPU count)")
+                   help="parallel triplet evaluations (capped at the usable CPUs)")
     p.add_argument("--no-oracle", action="store_true", help="skip the exact search")
     p.add_argument(
         "--times",
@@ -211,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

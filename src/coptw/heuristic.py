@@ -588,8 +588,13 @@ def improve(prep: Prepared, solution: Solution) -> Solution:
 
 def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes for `tasks` independent jobs: never more than the
-    jobs or the machine's CPUs, since the pool starts every worker at once."""
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+    jobs or the CPUs this process may run on (its affinity mask, where the
+    platform has one), since the pool starts every worker at once."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, tasks, cpus))
 
 
 def _slices(items: list, parts: int) -> list[list]:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from coptw import augment, heuristic, oracle, parse_benchmark, read_coptw, write_coptw
+from coptw import augment, bench, heuristic, oracle, parse_benchmark, read_coptw, write_coptw
 from coptw.bench import CSV_HEADER
 from coptw.cli import main
 
@@ -304,6 +304,40 @@ class TestBenchCommand:
         indir = tmp_path / "empty"
         indir.mkdir()
         assert main(["bench", str(indir), "-o", str(tmp_path / "x.csv")]) == 2
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error naming it."""
+
+    def assert_cannot_write(self, capsys, argv, out):
+        assert main(argv) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    def test_augment_missing_directory_exit_2(self, tmp_path, capsys):
+        src, _ = write_inputs(tmp_path)
+        out = tmp_path / "missing" / "x.coptw"
+        self.assert_cannot_write(capsys, ["augment", str(src), "-o", str(out)], out)
+
+    def test_solve_missing_directory_exit_2(self, tmp_path, capsys):
+        inst_path = tmp_path / "r.coptw"
+        inst_path.write_text(write_coptw(random_instance(random.Random(3), 5, team_size=2)))
+        out = tmp_path / "missing" / "x.sol"
+        self.assert_cannot_write(capsys, ["solve", str(inst_path), "-o", str(out)], out)
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "existing-dir"])
+    def test_bench_checks_output_before_the_first_row(self, tmp_path, capsys, monkeypatch,
+                                                      target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row ran before the output path was checked")
+
+        monkeypatch.setattr(bench, "bench_one", refuse)
+        indir = tmp_path / "in"
+        indir.mkdir()
+        (indir / "s100_1.txt").write_text(SOLOMON_SMALL)
+        (tmp_path / "existing-dir").mkdir()
+        out = tmp_path / target
+        self.assert_cannot_write(capsys, ["bench", str(indir), "-o", str(out), "--sizes", "3",
+                                          "--members", "2", "--no-oracle"], out)
 
 
 class TestHugeTeamSize:

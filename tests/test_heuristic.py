@@ -1099,12 +1099,19 @@ class TestSolve:
             assert ws.into is prep.into
 
     def test_pool_never_exceeds_tasks_or_cpus(self):
-        cpus = os.cpu_count() or 1
+        # the CPUs this process may run on, which can be fewer than the host's
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         assert _pool_size(100000, 54) == min(54, cpus)
         assert _pool_size(2, 54) == min(2, cpus)
         assert _pool_size(8, 1) == 1
         assert _pool_size(1, 54) == 1
         assert _pool_size(0, 54) == 1
+
+    def test_pool_counts_only_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU gets one worker, whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _pool_size(2, 54) == 1
 
     def test_plain_toptw_reduction(self):
         # forcing unit requirements turns the problem into plain TOPTW
