@@ -11,7 +11,7 @@ Run from the repository root:  python demos/04_gap_experiment.py
 
 from pathlib import Path
 
-from coptw import parse_benchmark
+from coptw import OracleConfig, parse_benchmark
 from coptw.bench import bench_one, format_summary, summarize
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "desk"
@@ -24,7 +24,8 @@ def main():
     rows = []
     for size in (8, 10, 12):
         for seed in (1, 2):
-            row = bench_one(raw, "r100", "r100_1", size, 3, seed, oracle_limit=30.0)
+            row = bench_one(raw, "r100", "r100_1", size, 3, seed,
+                            oracle=OracleConfig(time_limit=30.0))
             rows.append(row)
             opt_str = "n/a" if row.oracle_score is None else f"{row.oracle_score:.0f}"
             gap_str = "n/a" if row.gap_percent is None else f"{row.gap_percent:.2f}"

@@ -2,16 +2,18 @@
 
 For every (file, size, team size) combination the harness truncates the
 benchmark, attaches requirements with the run's seed, solves it with the
-savings heuristic and, unless disabled, runs the exact search from the
-heuristic's solution under a time limit.  Gaps are reported only against
+savings heuristic and, given an `OracleConfig`, runs the exact search from
+the heuristic's solution under its limits.  Gaps are reported only against
 proven optima; rows the search could not finish keep their oracle columns
 empty and are flagged, never silently dropped.  Requirement draws are
 positional, so every size and team-size variant of the same file shares one
 draw per seed.
 
-Row order follows the sorted input files and the given size/member lists,
-so a fixed seed reproduces the CSV byte for byte (time columns are wall
-clock; pass times='zero' to blank them when byte-stable output matters).
+Row order follows the sorted input files and the given size/member lists.
+A fixed seed reproduces the CSV byte for byte (time columns are wall clock;
+pass times='zero' to blank them) only when no row's search stops on its time
+limit: such a row may be proven on a faster or idler host.  That holds with
+no search, and with a node limit under `time_limit=inf`.
 """
 
 from __future__ import annotations
@@ -79,12 +81,13 @@ def bench_one(
     size: int,
     team_size: int,
     seed: int,
+    *,
+    oracle: OracleConfig | None,
     r_max: int = 3,
-    oracle_limit: float = 300.0,
     workers: int = 1,
-    run_oracle: bool = True,
 ) -> BenchRow:
-    """Solve one augmented truncation and compare against the exact search."""
+    """Solve one augmented truncation and compare against the exact search
+    under `oracle`'s limits; `None` runs no search."""
     instance = augment(truncate(raw, size), seed, r_max, team_size=team_size)
     result = solve(instance, workers=workers)
     report = check_solution(instance, result.best_solution)
@@ -95,10 +98,9 @@ def bench_one(
         )
     oracle_score = gap = oracle_time = None
     proven = False
-    if run_oracle:
+    if oracle is not None:
         t0 = time.perf_counter()
-        oracle_result = exact_solve(instance, OracleConfig(time_limit=oracle_limit),
-                                    incumbent=result.best_solution)
+        oracle_result = exact_solve(instance, oracle, incumbent=result.best_solution)
         oracle_time = time.perf_counter() - t0
         proven = oracle_result.proven_optimal
         if proven:
@@ -123,20 +125,19 @@ def run_bench(
     sizes: list[int],
     members: list[int],
     seed: int,
+    *,
+    oracle: OracleConfig | None,
     r_max: int = 3,
-    oracle_limit: float = 300.0,
     workers: int = 1,
-    run_oracle: bool = True,
 ) -> list[BenchRow]:
     """Benchmark every (file, size, P) combination.  A file that cannot be
     read or parsed, and a row that fails, are reported on stderr and recorded
     as rows with empty numeric columns; the harness moves on."""
-    # a bad limit, size, team size or r_max is an input error for the whole
-    # run; inside the loop it would only be recorded as a failed row, once
-    # per row.  A size above one file's customer count stays a row failure,
+    # a bad size, team size or r_max is an input error for the whole run;
+    # inside the loop it would only be recorded as a failed row, once per
+    # row.  A size above one file's customer count stays a row failure,
     # since the files differ in size, and so does a team size above the sum
     # of one row's drawn requirements (augment rejects it).
-    OracleConfig(time_limit=oracle_limit)
     for name, values in (("sizes", sizes), ("team sizes", members), ("r_max", [r_max])):
         if min(values) < 1:
             raise ValueError(f"{name} must be at least 1, got {min(values)}")
@@ -157,13 +158,8 @@ def run_bench(
         for size in sizes:
             for team_size in members:
                 try:
-                    rows.append(
-                        bench_one(
-                            raw, set_name, name, size, team_size, seed,
-                            r_max=r_max, oracle_limit=oracle_limit,
-                            workers=workers, run_oracle=run_oracle,
-                        )
-                    )
+                    rows.append(bench_one(raw, set_name, name, size, team_size, seed,
+                                          oracle=oracle, r_max=r_max, workers=workers))
                 except ValueError as exc:
                     print(f"bench: {name} n={size} P={team_size} failed: {exc}",
                           file=sys.stderr)

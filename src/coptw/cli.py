@@ -4,8 +4,8 @@ Subcommands: augment, solve, verify, oracle, bench.  Exit status 0 on
 success, 1 when verification fails, 2 on input errors.  Each file named on
 the command line is read through `_load` and each output is written through
 `_write`, so a path that cannot be read, decoded, parsed or written is an
-input error naming that path; `bench` checks its `-o` path before the first
-row runs.
+input error naming that path.  `augment`, `solve` and `bench` check their
+output path through `_output` before their main work runs.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def _load(path: str, parse):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _output(path: str | Path) -> Path:
+    """`path` if it names a file in a writable directory, else ParseError.
+    Checked without creating or truncating the file, so an input error
+    found later leaves no output; `_write` still catches what this misses."""
+    out = Path(path)
+    if out.is_dir() or not os.access(out.parent, os.W_OK):
+        raise ParseError(f"cannot write {out}: not a file in a writable directory")
+    return out
+
+
 def _write(path: Path, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -65,12 +75,12 @@ def _workers(text: str) -> int:
 
 def _cmd_augment(args) -> int:
     raw = _load(args.input, partial(parse_benchmark, layout=args.layout))
+    out = _output(args.output or Path(args.input).with_suffix(".coptw"))
     if args.n is not None:
         raw = truncate(raw, args.n)
     instance = augment(
         raw, args.seed, args.r_max, team_size=args.members, velocity=args.velocity
     )
-    out = Path(args.output) if args.output else Path(args.input).with_suffix(".coptw")
     _write(out, write_coptw(instance))
     print(
         f"wrote {out}: {instance.n_customers} customers, P={instance.team_size}, "
@@ -81,8 +91,8 @@ def _cmd_augment(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load(args.instance, read_coptw)
+    out = _output(args.output or Path(args.instance).with_suffix(".sol"))
     result = solve_heuristic(instance, workers=args.workers)
-    out = Path(args.output) if args.output else Path(args.instance).with_suffix(".sol")
     _write(out, format_solution(result.best_solution, result.best_score))
     print(f"score: {result.best_score}")
     print(f"time: {result.wall_time:.2f}s")
@@ -137,21 +147,12 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"no instance files in {directory}")
     sizes = [int(s) for s in args.sizes.split(",")]
     members = [int(s) for s in args.members.split(",")]
-    out = Path(args.output)
-    # checked without creating or truncating the file, so an input error
-    # found later leaves no CSV; `_write` still catches what this misses
-    if out.is_dir() or not os.access(out.parent, os.W_OK):
-        raise ParseError(f"cannot write {out}: not a file in a writable directory")
-    rows = run_bench(
-        files,
-        sizes,
-        members,
-        seed=args.seed,
-        r_max=args.r_max,
-        oracle_limit=args.oracle_limit,
-        workers=args.workers,
-        run_oracle=not args.no_oracle,
-    )
+    out = _output(args.output)
+    # built under --no-oracle too, so a bad limit is an input error either way
+    oracle = OracleConfig(time_limit=args.oracle_limit)
+    rows = run_bench(files, sizes, members, seed=args.seed,
+                     oracle=None if args.no_oracle else oracle,
+                     r_max=args.r_max, workers=args.workers)
     _write(out, rows_to_csv(rows, times=args.times))
     print(format_summary(summarize(rows)))
     print(f"csv: {args.output}")

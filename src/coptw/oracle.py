@@ -71,7 +71,9 @@ class OracleConfig:
     heuristic solve that seeds the default incumbent included.  That solve
     runs to its end and cannot be interrupted: a limit shorter than it
     stops the search at its first deadline check, and the call returns the
-    unproven incumbent.
+    unproven incumbent.  A `node_limit` under `time_limit=inf` stops the
+    search at the same node on any host, so its result does not depend on
+    the host's speed or load.
     """
 
     node_limit: int = 10**9

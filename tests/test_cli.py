@@ -1,10 +1,12 @@
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from coptw import augment, bench, heuristic, oracle, parse_benchmark, read_coptw, write_coptw
-from coptw.bench import CSV_HEADER
+from coptw import (OracleConfig, augment, bench, cli, heuristic, oracle, parse_benchmark,
+                   read_coptw, write_coptw)
+from coptw.bench import CSV_HEADER, bench_one
 from coptw.cli import main
 
 from conftest import random_instance
@@ -283,6 +285,7 @@ class TestBenchCommand:
         csv_path = tmp_path / "out.csv"
         argv = ["bench", str(indir), "-o", str(csv_path), "--sizes", "3", "--members", "2"]
         assert main(argv + ["--oracle-limit", "nan"]) == 2
+        assert main(argv + ["--oracle-limit", "nan", "--no-oracle"]) == 2
         assert not csv_path.exists()
         assert main(argv + ["--oracle-limit", "inf"]) == 0
         assert csv_path.read_text().splitlines()[1].endswith(",true")
@@ -306,6 +309,36 @@ class TestBenchCommand:
         assert main(["bench", str(indir), "-o", str(tmp_path / "x.csv")]) == 2
 
 
+class TestBenchOne:
+    """`bench_one` runs the exact search under the caller's config, or not at all."""
+
+    RAW = parse_benchmark(SOLOMON_SMALL)
+
+    def test_no_config_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_solve ran without a config")
+
+        monkeypatch.setattr(bench, "exact_solve", refuse)
+        row = bench_one(self.RAW, "s100", "s100_1", 4, 2, 5, oracle=None)
+        assert row.mcw_score is not None
+        assert (row.oracle_score, row.gap_percent, row.oracle_time) == (None, None, None)
+        assert row.proven_optimal is False
+
+    def test_config_reaches_the_search_unchanged(self, monkeypatch):
+        config = OracleConfig(node_limit=5_000, time_limit=math.inf)
+        seen = []
+
+        def record(instance, given, incumbent=None):
+            seen.append(given)
+            return oracle.exact_solve(instance, given, incumbent=incumbent)
+
+        monkeypatch.setattr(bench, "exact_solve", record)
+        row = bench_one(self.RAW, "s100", "s100_1", 4, 2, 5, oracle=config)
+        assert len(seen) == 1 and seen[0] is config
+        assert config == OracleConfig(node_limit=5_000, time_limit=math.inf)
+        assert row.oracle_time is not None
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is an input error naming it."""
 
@@ -323,6 +356,27 @@ class TestUnwritableOutput:
         inst_path.write_text(write_coptw(random_instance(random.Random(3), 5, team_size=2)))
         out = tmp_path / "missing" / "x.sol"
         self.assert_cannot_write(capsys, ["solve", str(inst_path), "-o", str(out)], out)
+
+    def test_solve_checks_output_before_solving(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the heuristic ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "solve_heuristic", refuse)
+        inst_path = tmp_path / "r.coptw"
+        inst_path.write_text(write_coptw(random_instance(random.Random(3), 5, team_size=2)))
+        out = tmp_path / "missing" / "x.sol"
+        self.assert_cannot_write(capsys, ["solve", str(inst_path), "-o", str(out)], out)
+
+    def test_augment_checks_default_output_before_augmenting(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("augment ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "augment", refuse)
+        src, _ = write_inputs(tmp_path)
+        out = src.with_suffix(".coptw")
+        out.mkdir()  # the default output path names a directory
+        self.assert_cannot_write(capsys, ["augment", str(src)], out)
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "existing-dir"])
     def test_bench_checks_output_before_the_first_row(self, tmp_path, capsys, monkeypatch,
