@@ -26,6 +26,20 @@ at every node and drops nothing for good, so the list needs no argument
 about later tails.  The bound sums the rewards it keeps in candidate
 order, as the rule over all candidates does, so it is the same float.
 
+A node's children come from its live list too: it appends each live
+customer off the open route that its tail has an arc to, in list order,
+under the lexicographic rule and the window and horizon tests, and may
+then close the route.  So v is appended only while count[v] + 1 +
+unopened >= req[v].  No optimum is lost.  Strip a solution in a skipped
+subtree of its incomplete visits and of any visit beyond a requirement:
+its score is the same, no start rises, and in lexicographic route order
+each of its appends is of a customer that its later routes complete, one
+visit each, so the search reaches it.  This is the stripping argument
+the incumbent and the skip of a complete customer rely on, exact above
+the heuristic's rounding margin: a stripped visit's detour costs at
+least its service time, which dwarfs the rounding of the triangle
+inequality.
+
 Appending v to the open route changes no other customer's count and
 leaves v missing no more visits than the unopened routes give, so a
 child's live list is its parent's, less v when v completes.  Every node
@@ -35,9 +49,7 @@ expand it only when its bound does.  An appended child applies the reach
 test to the list it inherits; a new route keeps its parent's score, so it
 records nothing, and it applies the count rule, which changes with the
 routes left.  The root is counted and bounded by the same rule over every
-candidate.  Each node is counted and cut where it was when every node did
-all three on entry, so the tree, the node counts and where the limits
-stop are unchanged.
+candidate.
 
 The search starts from a verified incumbent, by default the savings
 heuristic's best solution: the bound cuts from the root on, and the
@@ -46,8 +58,9 @@ solution as the incumbent gives the cold search, which finds every
 incumbent by itself.  The incumbent at any node is the current routes with
 not-yet-completed visits stripped out; stripping visits only lowers start
 times, so the incumbent is always a valid solution.  When limits stop the
-search early the incumbent is returned with proven_optimal=False.  The
-search, the seed solve and the incumbent's check read one Prepared instance.
+search early, or a path outgrows the interpreter's recursion limit, the
+incumbent is returned with proven_optimal=False.  The search, the seed
+solve and the incumbent's check read one Prepared instance.
 """
 
 from __future__ import annotations
@@ -109,21 +122,19 @@ class _Search:
         self.req = self.tt.req
         self.reward = self.tt.reward
         n = self.tt.n
-        # branching order: high reward first for good early incumbents
-        self.branch_order = sorted(
-            (v for v in range(1, n) if self.req[v] <= self.team_size),
+        # in branching order, high reward first for good early incumbents;
+        # a customer no feasible arc enters is never appended, so dropping
+        # it tightens the bound and stays admissible
+        self.bound_candidates = sorted(
+            (v for v in range(1, n) if self.req[v] <= self.team_size and any(prep.into[v])),
             key=lambda v: (-self.reward[v], v),
         )
-        # a customer no feasible arc enters is never appended by _expand;
-        # dropping it tightens the bound and stays admissible
-        self.bound_candidates = [v for v in self.branch_order if any(prep.into[v])]
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before
         # its current tail does, up to the rounding this margin absorbs
         slack = 1e-9 * max(1.0, self.tt.t_max)
         self.reach_close = [c + slack for c in self.tt.close]
-        # each tail's arc-feasible successors, in branching order
-        self.succ = [[v for v in self.branch_order if row[v]] for row in prep.feas]
+        self.feas = prep.feas
 
         self.routes: list[list[int]] = [[]]
         self.links = RouteScan(self.routes)  # routes change in place only
@@ -133,7 +144,6 @@ class _Search:
         self.best_score = 0.0
         self.best_routes: list[list[int]] = []
         self.nodes = 0
-        self.complete = True
         self.deadline = time.perf_counter() + config.time_limit
 
     def _bound(self) -> float:
@@ -183,15 +193,13 @@ class _Search:
     def _count_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.config.node_limit:
-            self.complete = False
             raise _LimitReached
         if self.nodes % 512 == 0 and time.perf_counter() > self.deadline:
-            self.complete = False
             raise _LimitReached
 
     def _expand(self, prev: list[int], lex_gt: bool, live: list[int]) -> None:
-        """Branch on the current node, whose bound beats the incumbent;
-        `live` is its live list.  Each child is counted, recorded when
+        """Branch on the current node, whose bound beats the incumbent,
+        over `live`, its live list.  Each child is counted, recorded when
         its score beats the incumbent, and expanded when its bound does."""
         tt = self.tt
         t = tt.t
@@ -207,12 +215,13 @@ class _Search:
         last = open_route[-1] if open_route else 0
         depart = s[last] + dur[last]
         t_last = t[last]
+        feas_last = self.feas[last]
         depth = len(open_route)
         unopened = self.team_size - len(self.routes)
-        for v in self.succ[last]:
-            c_old = count[v]
-            if c_old >= req[v] or v in open_route:
+        for v in live:
+            if not feas_last[v] or v in open_route:
                 continue
+            c_old = count[v]
             if not lex_gt:
                 if depth < len(prev) and v < prev[depth]:
                     continue  # open route would sort below its predecessor
@@ -286,14 +295,17 @@ class _Search:
                 self.routes.pop()
 
     def run(self) -> OracleResult:
+        complete = True
         try:
             # the root's score, 0, beats no incumbent: nothing to record
             self._count_node()
             live, completable = self._live(self.bound_candidates)
             if self.score + completable > self.best_score:
                 self._expand([], True, live)
-        except _LimitReached:
-            pass
+        except (_LimitReached, RecursionError):
+            # a limit, or a path deeper than the interpreter's stack, stops
+            # the search; its incumbent was verified when it was taken
+            complete = False
         routes = [list(r) for r in self.best_routes]
         while len(routes) < self.team_size:
             routes.append([])
@@ -303,7 +315,7 @@ class _Search:
         return OracleResult(
             best_score=objective(self.instance, best),
             best_solution=best,
-            proven_optimal=self.complete,
+            proven_optimal=complete,
             explored_nodes=self.nodes,
         )
 
@@ -323,11 +335,12 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
 
     Measured on a 2-vCPU Xeon under Python 3.11: the 16 benchmark rows at
     10-12 customers and 3-4 members (requirement seed 1) prove in 811 to
-    135k nodes each, 477k in all (711k cold), about 1.0-1.3 s for all 16
+    119k nodes each, 366k in all (496k cold), about 0.8-0.9 s for all 16
     with their seed solves; c100_1 at 12 customers and 4 members takes
-    8.26M nodes, about 18 s, to prove the heuristic's 298 optimal.  When
-    the node or time limit stops the search, the incumbent is reported
-    with proven_optimal=False.
+    8.26M nodes, about 17-18 s, to prove the heuristic's 298 optimal.
+    When the node or time limit stops the search, or a path is deeper
+    than the recursion limit, the incumbent is reported with
+    proven_optimal=False.
     """
     if config is None:
         config = OracleConfig()

@@ -200,6 +200,50 @@ class TestExactSolve:
                 assert check_solution(inst, res.best_solution).feasible
         assert fired > 0
 
+    def test_matches_bruteforce_with_high_requirements(self):
+        # most customers need P-1 or P members, so the live list often
+        # drops a customer the routes left can no longer complete, and the
+        # search never branches on it
+        rng = random.Random(550)
+        for _ in range(20):
+            team_size = rng.randint(2, 4)
+            base = random_instance(rng, rng.randint(4, 6), team_size=team_size,
+                                   t_max=150.0, window=20.0)
+            inst = dataclasses.replace(base, requirements=[0] + [
+                rng.choice((1, team_size - 1, team_size, team_size))
+                for _ in base.vertices[1:]])
+            reference = best_score_bruteforce(inst)
+            for incumbent in (None, empty_solution(team_size)):
+                res = exact_solve(inst, incumbent=incumbent)
+                assert res.proven_optimal
+                assert res.best_score == reference
+                assert check_solution(inst, res.best_solution).feasible
+
+    def test_appends_only_completable_customers(self):
+        # a counted node with a visit on its open route is an appended
+        # child, or the node that closes that route with the same state;
+        # its tail v, counted, must still be completable by the routes
+        # left: count[v] + unopened >= req[v]
+        tight = []
+
+        class Checked(_Search):
+            def _count_node(self):
+                route = self.routes[-1]
+                if route:
+                    v = route[-1]
+                    unopened = self.team_size - len(self.routes)
+                    assert self.count[v] + unopened >= self.req[v]
+                    tight.append(self.count[v] + unopened == self.req[v])
+                super()._count_node()
+
+        base = random_instance(random.Random(560), 7, team_size=3)
+        inst = dataclasses.replace(base, requirements=[0, 3, 2, 3, 3, 1, 2, 3])
+        res = Checked(prepare(inst), OracleConfig()).run()
+        cold = exact_solve(inst, incumbent=empty_solution(inst.team_size))
+        assert res.proven_optimal
+        assert (res.best_score, res.explored_nodes) == (cold.best_score, cold.explored_nodes)
+        assert any(tight) and not all(tight)
+
     def test_inherited_lists_match_the_rule_from_scratch(self, monkeypatch):
         # a node's live list is filtered from its parent's: the root's from
         # every candidate in run, every other node's in its parent's loop,
@@ -292,6 +336,21 @@ class TestExactSolve:
         assert res.explored_nodes >= 5
         assert check_solution(inst, res.best_solution).feasible
 
+    def test_path_deeper_than_the_stack_returns_incumbent_unproven(self):
+        # 1,100 customers in a row and one member: the cold search's first
+        # path visits them in order, deeper than the recursion limit, so it
+        # stops there with the last incumbent it took on that path
+        n = 1100
+        assert sys.getrecursionlimit() < n
+        inst = make_instance(
+            [(float(i), 0.0, 0.0, 1.0, 0.0, 10_000.0, 1) for i in range(1, n + 1)],
+            team_size=1, t_max=10_000.0)
+        res = exact_solve(inst, incumbent=empty_solution(1))
+        assert not res.proven_optimal
+        assert 0 < res.best_score < n
+        assert res.best_score == objective(inst, res.best_solution)
+        assert check_solution(inst, res.best_solution).feasible
+
     def test_heuristic_never_beats_proven_optimum(self):
         # cold: an oracle seeded by the heuristic would check it against itself
         rng = random.Random(504)
@@ -358,9 +417,9 @@ class TestExactSolve:
             assert res.explored_nodes <= cold.explored_nodes
 
     @pytest.mark.parametrize("seed, n, team_size, score, nodes", [
-        (520, 6, 2, 56.0, 93),
-        (521, 7, 3, 223.0, 1375),
-        (523, 8, 3, 137.0, 1548),
+        (520, 6, 2, 56.0, 61),
+        (521, 7, 3, 223.0, 940),
+        (523, 8, 3, 137.0, 1060),
     ])
     def test_empty_incumbent_is_the_cold_search(self, seed, n, team_size, score, nodes):
         # node counts of the search before it took an incumbent
@@ -373,25 +432,24 @@ class TestExactSolve:
     # stopped by each node limit, then by a deadline already passed when
     # the search starts (the deadline is read every 512 nodes), on four
     # benchmark rows at requirement seed 1, from the heuristic's solution
-    # and cold.  Recorded on commit cbc7289, whose search counted and
-    # bounded every node on entering it.
+    # and cold, with children drawn from each node's live list.
     @pytest.mark.parametrize("name, n, team_size, start, digest", [
         ("r100_1", 12, 4, "seeded",
          "c3db7b4d68c46ceef77208b6d08bb64f145f30415676e7268208eab0d4d67489"),
         ("r100_1", 12, 4, "cold",
          "715b68dc7ed75cedec1ad698678e198e5eda0c83d5bd09c7ade5a7e13893a189"),
         ("rc100_1", 10, 3, "seeded",
-         "ae044db2a452253abe411ac2f44b28e935aab34521ce357aa83661bcebf3716f"),
+         "5754e15d1ed757d6c6c667fdb4e99154e445b472673b18fd210e6d84dadd22b3"),
         ("rc100_1", 10, 3, "cold",
-         "f7b6d8c06f8c950e82081f022cf6439866f1c6ffaf6d26d655adc997b7ed47dc"),
+         "6c3bd9910ae1d29539f5a787bf2be0667958bec990a19caf66e34727a6ad2ba9"),
         ("rc100_1", 10, 4, "seeded",
          "632b1b9deb5689cff129d8531ac2c2f539e741c93e77809b3bfa2841d691b324"),
         ("rc100_1", 10, 4, "cold",
-         "853c39812c93fac92cca439ab22c3a2befca480f92f10ebb385e66bbc1fd5a15"),
+         "f83aaeeb11dd52d6d8624d556bd61f0ad1a11c7f07ea9ab28a828331066a3ba5"),
         ("rc100_1", 11, 3, "seeded",
          "67fc8bc430340d130e37d5bc07d1143386a960ba271335dc94e079837b3bcc96"),
         ("rc100_1", 11, 3, "cold",
-         "f5778c45f63df17f2698d270539816a750199835dadcb80e291525fc3d34c6d1"),
+         "805762bb69fcc67c1a921bb7a2812214e8ea6e3a6aa4c2db012d2005e08795d4"),
     ])
     def test_limited_searches_are_pinned(self, data_dir, name, n, team_size, start, digest):
         raw = truncate(parse_benchmark((data_dir / f"{name}.txt").read_text()), n)

@@ -21,9 +21,14 @@ benchmark's time limit per row.
 For ``oracle`` a second line gives the sha256 of the same records without
 ``explored_nodes``: a change to the search's bound that only prunes
 subtrees unable to beat the incumbent keeps this line and changes the
-first.  ``exact_solve`` starts from the heuristic's solution and returns its
-routes wherever it is optimal, so a change to the heuristic can move both
-oracle lines; compare the oracle's scores and proofs for such a change.
+first.  A third line gives the sha256 of each row's score and proof flag
+only.  A change to the tree itself, such as which children a node
+branches on, can find an equal-score optimum before the one found so
+far and so move the routes and the second line; this line is the check
+that the scores and proofs held.  ``exact_solve`` starts from the
+heuristic's solution and returns its routes wherever it is optimal, so a
+change to the heuristic can move the first two oracle lines; the third
+must still hold.
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ def main(argv=None) -> int:
         if args.workload == "oracle":
             no_nodes = [{k: v for k, v in r.items() if k != "nodes"} for r in records]
             print(f"{sha256(no_nodes)}  {label} without nodes", flush=True)
+            proofs = [{k: r[k] for k in ("row", "score", "proven")} for r in records]
+            print(f"{sha256(proofs)}  {label} scores and proofs", flush=True)
     return 0
 
 
