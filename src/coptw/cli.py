@@ -131,7 +131,7 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     result = exact_solve(instance, config)
     elapsed = time.perf_counter() - t0
-    flag = "proven optimal" if result.proven_optimal else "not proven (limit hit)"
+    flag = "proven optimal" if result.proven_optimal else f"not proven ({result.stopped_by})"
     print(f"score: {result.best_score} ({flag})")
     print(f"nodes: {result.explored_nodes}")
     print(f"time: {elapsed:.2f}s")

@@ -22,6 +22,15 @@ that was rejected then, v between u and w, plus visits.  Its starts are
 no lower, so the late start, late return or circular wait that rejected
 it remains.
 
+Slots the schedule must reject are not tried at all.  Beside the starts
+the workspace keeps each visit's latest start: the latest it can start
+without breaking a window or the horizon further along any route, plus a
+margin of 1e-9 * max(1, T_max) (scheduling.latest_starts).  A slot whose
+new visit would start after its own latest start, or whose successor it
+would reach after that one's, is skipped (_Workspace._slots).  Such a slot
+is one the insertion test rejects, at any service time, so the walk tries
+the same accepted slots in the same order as without the filter.
+
 The improvement pass then scans the unvisited vertices (highest reward
 first) and tries to insert each one outright; failing that, it places the
 visits at the cheapest arc-valid positions regardless of the schedule and,
@@ -64,8 +73,10 @@ to each call; no module state is kept.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -77,8 +88,8 @@ from .instances import Instance
 from .savings import calc_saving_pairs  # noqa: F401
 from .savings import (SavingParams, SavingTerms, first_appearances, parameter_grid,
                       saving_terms)
-from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, objective,
-                         relax_starts, solution_faults)
+from .scheduling import (Solution, TravelTimes, bad_arcs, insert_starts, late, latest_starts,
+                         objective, relax_starts, solution_faults)
 
 
 @dataclass
@@ -125,8 +136,17 @@ class _Workspace:
     `[m, pred, succ]` entry per route m that visits x, in ascending m, with
     0 for the depot, so `len(links[x])` is x's visit count.
     `from_solution` builds it from the routes; `_try_slot`, `force_place`
-    and `drop` keep it in step at O(req) per visit.  `s` is replaced, never
-    changed in place, so a move can keep the old list to undo itself.
+    and `drop` keep it in step at O(req) per visit.
+
+    `due` is scheduling.latest_starts of the routes, which _slots reads:
+    `due[x]` is the latest start of x that breaks no window or horizon
+    downstream, plus a margin, and `due[0]` is T_max plus it.  A committed
+    slot brings it up to date by a work list over the predecessors of the
+    new visit (_update_due).  After a removal, a commit of substitute's
+    schedule-blind placement or from_solution it is None, and the next
+    read recomputes it (_latest): a construction's final removal is never
+    scanned.  `s` and `due` are replaced, never changed in place, so a
+    move can keep the old lists to undo itself.
     """
 
     def __init__(self, prep: Prepared):
@@ -138,6 +158,7 @@ class _Workspace:
         self.routes: list[list[int]] = [[] for _ in range(self.team_size)]
         self.links: list[list[list[int]]] = [[] for _ in range(self.tt.n)]
         self.s = list(self.tt.open)
+        self.due: list[float] | None = self.tt.latest  # latest_starts of no visits
 
     @classmethod
     def from_solution(cls, prep: Prepared, solution: Solution) -> "_Workspace":
@@ -152,19 +173,22 @@ class _Workspace:
         ws = cls(prep)
         ws.routes = [list(route) for route in solution.routes]
         ws.s = s
+        ws.due = None
         ws._index()
         return ws
 
     def copy(self) -> "_Workspace":
         """An independent workspace in the same state.  The member index is
         rebuilt from the copied routes, since _relink edits its entries in
-        place; `s` is shared, since it is only ever replaced."""
+        place; `s` and `due` are shared, since they are only ever
+        replaced."""
         ws = _Workspace.__new__(_Workspace)
         ws.tt, ws.feas, ws.into, ws.dist = self.tt, self.feas, self.into, self.dist
         ws.team_size = self.team_size
         ws.routes = [list(route) for route in self.routes]
         ws._index()
         ws.s = self.s
+        ws.due = self.due
         return ws
 
     def to_solution(self) -> Solution:
@@ -233,13 +257,27 @@ class _Workspace:
         positions the same way.  One empty route stands for all of them.
 
         Each route is walked once, as its gaps (u, w): u the visit before
-        pos and w the one at it, the depot (0) at either end.  A gap is
-        tested first on v's two arc rows, `into[v][u]` for u -> v and
-        `feas[v][w]` for v -> w.  Then come two start floors: v reachable
-        by its close from u's current start, and w still reachable by its
-        close after serving v.  They bound the first two starts
-        insert_starts computes from below, in the same float order, so a
-        slot they drop is one it would reject.  The depot needs no case of
+        pos and w the one at it, the depot (0) at either end.  A kept gap
+        finds its pos by `route.index` from the last kept gap's pos, so the
+        searches of one walk read the route once together; counting pos at
+        every gap costs more on short routes.
+
+        A gap is tested first on v's two arc rows, `into[v][u]` for u -> v
+        and `feas[v][w]` for v -> w.  Then come the start floors.  From
+        u's current start, v's arrival `arr` must be by v's close, and v's
+        start (`arr`, or v's current start if later) by `due[v]`; w's
+        arrival after serving v must be by `due[w]`, the latest start w
+        can take (the horizon at the depot).  The first two starts
+        insert_starts computes are bounded from below by v's start and w's
+        arrival, in the same float order, so the close floor is exact.
+        The `due` floors drop only slots it rejects too: starts only rise
+        when visits are added, and the insertion removes only the arc
+        u -> w, so every path of route arcs that bounds `due[w]` or
+        `due[v]` is still in the new routing (one through u -> w runs on
+        through v, or closes a cycle that a feasible routing only allows
+        among coincident visits without service).  Along such a path the
+        new starts would reach a window or the horizon late; the margin in
+        `due` absorbs the rounding along it.  The depot needs no case of
         its own: it opens at 0 with no service (Instance) and nothing
         writes s[0], so s[0] + dur[0] + t[0][v] is t[0][v] bit for bit."""
         into_v = self.into[v]
@@ -247,12 +285,13 @@ class _Workspace:
         dist = self.dist
         dist_v = dist[v]
         s = self.s
+        due = self._latest()
         tt = self.tt
         dur = tt.dur
         t = tt.t
-        close = tt.close
-        close_v = close[v]
+        close_v = tt.close[v]
         s_v = s[v]
+        due_v = due[v]
         dur_v = dur[v]
         t_v = t[v]
         links_v = self.links[v]
@@ -268,19 +307,26 @@ class _Workspace:
                     continue
                 empty_seen = True  # empty routes are interchangeable
             u = 0
+            pos = 0  # the last kept gap's: the next one lies after it
             for w in [*route, 0]:
                 if into_v[u] and feas_v[w]:
                     arr = s[u] + dur[u] + t[u][v]
                     start = arr if arr > s_v else s_v
-                    if arr <= close_v and start + dur_v + t_v[w] <= close[w]:
-                        # a route visits w once, so its index is the slot's pos
-                        slot = (dist[u][v] + dist_v[w] - dist[u][w], m,
-                                route.index(w) if w else len(route))
+                    if (arr <= close_v and start <= due_v
+                            and start + dur_v + t_v[w] <= due[w]):
+                        pos = route.index(w, pos) if w else len(route)
+                        slot = (dist[u][v] + dist_v[w] - dist[u][w], m, pos)
                         (inner if u and w else ends).append(slot)
                 u = w
         ends.sort()
         inner.sort()
         return ends + inner
+
+    def _latest(self) -> list[float]:
+        """`due`, recomputed first when a change left it None."""
+        if self.due is None:
+            self.due = latest_starts(self.tt, self.routes)
+        return self.due
 
     # -- feasibility-gated insertion ------------------------------------------
 
@@ -292,9 +338,62 @@ class _Workspace:
         if s_new is None:
             self._unlink(m, v)
         else:
-            self.routes[m].insert(pos, v)
+            route = self.routes[m]
+            route.insert(pos, v)
             self.s = s_new
+            self._update_due(route[pos - 1] if pos else 0, v)
         return s_new
+
+    def _update_due(self, u: int, v: int) -> None:
+        """Bring `due` to latest_starts of the routes after a committed
+        visit of v right after u (0 for the depot).
+
+        Only u and v changed successors: u's w became v, and v gained w.
+        A work list seeded with v and u recomputes each popped entry by
+        latest_starts' rule from its successors' current entries, and only
+        a changed entry queues its route predecessors.  On a routing
+        without cycles that rule has one fixed point, so the result is
+        latest_starts' bit for bit.  By the triangle inequality the entries
+        only fall, up to rounding, which the recomputation follows either
+        way.  An insertion removes no cycle, so a routing whose entries are
+        all inf keeps them.  A cycle the insertion closes passes through v
+        and, starts never falling along an arc, makes a successor of v
+        start with v; then `due` is left None for the next read to
+        recompute."""
+        due = self.due
+        if due is None or due[0] == math.inf:
+            return
+        links = self.links
+        s = self.s
+        s_v = s[v]
+        for _, _, w in links[v]:
+            if w and s[w] == s_v:
+                self.due = None
+                return
+        tt = self.tt
+        t = tt.t
+        dur = tt.dur
+        latest = tt.latest
+        due = list(due)
+        work = deque((v, u) if u else (v,))
+        queued = set(work)
+        while work:
+            x = work.popleft()
+            queued.discard(x)
+            d = latest[x]
+            dur_x = dur[x]
+            t_x = t[x]
+            for _, _, y in links[x]:
+                if (d_y := due[y] - dur_x - t_x[y]) < d:
+                    d = d_y
+            if d == due[x]:
+                continue
+            due[x] = d
+            for _, p, _ in links[x]:
+                if p and p not in queued:
+                    queued.add(p)
+                    work.append(p)
+        self.due = due
 
     def try_place_one(self, v: int) -> bool:
         """Place one member visit of v at the first slot of _slots, route
@@ -324,6 +423,7 @@ class _Workspace:
         if status != "ok":
             raise AssertionError("removal must never break a feasible schedule")
         self.s = s
+        self.due = None
 
     def remove_underserved(self) -> None:
         doomed = {
@@ -422,19 +522,21 @@ class _Workspace:
         it."""
         tt = self.tt
         s = self.s
+        due = self._latest()  # kept for the undo, so the next move need not recompute it
         if self.top_up(v):
             return
         self.drop(v)
         self.s = s
+        self.due = due
         if not self.force_place(v):
             return
         if self._doomed(v):
             self.drop(v)
-            self.s = s
             return
         status, s_new, returns, _ = relax_starts(tt, self.routes)
         if status == "ok":
             self.s = s_new
+            self.due = None
             return
         broken = late(tt, self.routes, s_new, returns)[0] if status == "window" else []
         if len(broken) == 1 and broken[0] != v and tt.reward[broken[0]] <= tt.reward[v]:
@@ -444,9 +546,9 @@ class _Workspace:
             if status == "ok" and next(bad_arcs(self.feas, rest), None) is None:
                 self.drop(j)
                 self.s = s_new
+                self.due = None
                 return
         self.drop(v)
-        self.s = s
 
 
 def _call_orders(prep: Prepared, grid: list[SavingParams]) -> list[list[int]]:

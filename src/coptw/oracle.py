@@ -103,14 +103,19 @@ class OracleConfig:
 
 @dataclass
 class OracleResult:
+    """`stopped_by` says what stopped an unproven search: "node limit",
+    "time limit" or "depth guard" (a path deeper than the interpreter's
+    recursion limit); it is None when the search is proven."""
+
     best_score: float
     best_solution: Solution
     proven_optimal: bool
     explored_nodes: int
+    stopped_by: str | None = None
 
 
 class _LimitReached(Exception):
-    pass
+    """A search limit was hit; its one argument names it."""
 
 
 class _Search:
@@ -131,9 +136,9 @@ class _Search:
         )
         # starts only grow and Euclidean travel times obey the triangle
         # inequality, so no later tail of the open route reaches v before
-        # its current tail does, up to the rounding this margin absorbs
-        slack = 1e-9 * max(1.0, self.tt.t_max)
-        self.reach_close = [c + slack for c in self.tt.close]
+        # its current tail does, up to the rounding the margin in these
+        # closes absorbs
+        self.reach_close = self.tt.latest
         self.feas = prep.feas
 
         self.routes: list[list[int]] = [[]]
@@ -193,9 +198,9 @@ class _Search:
     def _count_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.config.node_limit:
-            raise _LimitReached
+            raise _LimitReached("node limit")
         if self.nodes % 512 == 0 and time.perf_counter() > self.deadline:
-            raise _LimitReached
+            raise _LimitReached("time limit")
 
     def _expand(self, prev: list[int], lex_gt: bool, live: list[int]) -> None:
         """Branch on the current node, whose bound beats the incumbent,
@@ -295,17 +300,19 @@ class _Search:
                 self.routes.pop()
 
     def run(self) -> OracleResult:
-        complete = True
+        stopped_by = None
         try:
             # the root's score, 0, beats no incumbent: nothing to record
             self._count_node()
             live, completable = self._live(self.bound_candidates)
             if self.score + completable > self.best_score:
                 self._expand([], True, live)
-        except (_LimitReached, RecursionError):
-            # a limit, or a path deeper than the interpreter's stack, stops
-            # the search; its incumbent was verified when it was taken
-            complete = False
+        # a limit, or a path deeper than the interpreter's stack, stops the
+        # search; its incumbent was verified when it was taken
+        except _LimitReached as limit:
+            stopped_by = limit.args[0]
+        except RecursionError:
+            stopped_by = "depth guard"
         routes = [list(r) for r in self.best_routes]
         while len(routes) < self.team_size:
             routes.append([])
@@ -315,8 +322,9 @@ class _Search:
         return OracleResult(
             best_score=objective(self.instance, best),
             best_solution=best,
-            proven_optimal=complete,
+            proven_optimal=stopped_by is None,
             explored_nodes=self.nodes,
+            stopped_by=stopped_by,
         )
 
 
@@ -340,7 +348,7 @@ def exact_solve(instance: Instance, config: OracleConfig | None = None,
     8.26M nodes, about 17-18 s, to prove the heuristic's 298 optimal.
     When the node or time limit stops the search, or a path is deeper
     than the recursion limit, the incumbent is reported with
-    proven_optimal=False.
+    proven_optimal=False and `stopped_by` naming the cause.
     """
     if config is None:
         config = OracleConfig()

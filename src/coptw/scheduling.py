@@ -103,9 +103,14 @@ class FeasibilityReport:
 
 
 class TravelTimes:
-    """Plain-list views of an instance's timing data for the hot loops."""
+    """Plain-list views of an instance's timing data for the hot loops.
 
-    __slots__ = ("open", "close", "dur", "reward", "req", "t", "t_max", "n")
+    `latest[x]` is x's close plus a margin of 1e-9 * max(1, T_max), at the
+    depot T_max plus it (Instance makes the depot close at T_max): the
+    bound a conservative filter tests a start against, so that no rounding
+    along a chain of travel times makes it cut a feasible move."""
+
+    __slots__ = ("open", "close", "dur", "reward", "req", "t", "t_max", "n", "latest")
 
     def __init__(self, instance: Instance, d: np.ndarray | None = None):
         if d is None:
@@ -119,6 +124,8 @@ class TravelTimes:
         self.t = t.tolist()
         self.t_max = instance.t_max
         self.n = instance.n_vertices
+        slack = 1e-9 * max(1.0, instance.t_max)
+        self.latest = [c + slack for c in self.close]
 
 
 def relax_starts(tt: TravelTimes,
@@ -179,6 +186,49 @@ def relax_starts(tt: TravelTimes,
         return "deadlock", s, returns, rounds
     vertices, members = late(tt, routes, s, returns)
     return "window" if vertices else "horizon" if members else "ok", s, returns, rounds
+
+
+def latest_starts(tt: TravelTimes, routes: list[list[int]]) -> list[float]:
+    """The latest start each vertex can take without breaking a window or
+    the horizon downstream of it, plus the margin in tt.latest: the `due`
+    list of the heuristic's slot filter.
+
+    Entry 0 is tt.latest[0], the latest return, read as the start of the
+    depot every route ends at; an unvisited vertex keeps its tt.latest.
+    A visited x takes the least of tt.latest[x] and, per route successor
+    y (the depot included), due[y] - dur[x] - t[x][y].  The visits are
+    settled backward in Kahn's order over those successor arcs, each from
+    its settled successors, so the result is the one fixed point of that
+    rule.  A routing whose arcs form a cycle, which a feasible one can
+    only have between coincident visits without service, does not settle:
+    then every entry is inf, which filters nothing.
+    """
+    t = tt.t
+    dur = tt.dur
+    due = list(tt.latest)
+    succ: dict[int, list[int]] = {x: [] for route in routes for x in route}
+    pred: dict[int, list[int]] = {x: [] for x in succ}
+    waiting = dict.fromkeys(succ, 0)  # successors not yet settled
+    for route in routes:
+        for x, y in zip(route, [*route[1:], 0]):
+            succ[x].append(y)
+            if y:
+                pred[y].append(x)
+                waiting[x] += 1
+    ready = [x for x, k in waiting.items() if not k]
+    for x in ready:
+        d = due[x]
+        for y in succ[x]:
+            if (d_y := due[y] - dur[x] - t[x][y]) < d:
+                d = d_y
+        due[x] = d
+        for p in pred[x]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
+    if len(ready) < len(succ):
+        return [math.inf] * tt.n
+    return due
 
 
 def insert_starts(

@@ -185,15 +185,40 @@ class TestSolveVerifyOracle:
         out = capsys.readouterr().out
         assert "proven optimal" in out
 
-    def test_oracle_limit_reports_unproven(self, tmp_path, capsys, data_dir):
+    def r100_row(self, tmp_path, capsys, data_dir):
         # the heuristic's solution proves the six-customer file at the root;
         # this row still takes thousands of nodes from it
         inst_path = tmp_path / "r100_1.coptw"
         assert main(["augment", str(data_dir / "r100_1.txt"), "-o", str(inst_path),
                      "--seed", "1", "-n", "10", "-P", "4"]) == 0
         capsys.readouterr()
+        return inst_path
+
+    def test_oracle_limit_reports_unproven(self, tmp_path, capsys, data_dir):
+        inst_path = self.r100_row(tmp_path, capsys, data_dir)
         assert main(["oracle", str(inst_path), "--node-limit", "3"]) == 0
-        assert "not proven" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(not proven (node limit))" in out
+        assert "nodes: 4\n" in out
+
+    def test_oracle_time_limit_reports_unproven(self, tmp_path, capsys, data_dir):
+        # the deadline passes during the seed solve and is read every 512 nodes
+        inst_path = self.r100_row(tmp_path, capsys, data_dir)
+        assert main(["oracle", str(inst_path), "--time-limit", "1e-9"]) == 0
+        out = capsys.readouterr().out
+        assert "(not proven (time limit))" in out
+        assert "nodes: 512\n" in out
+
+    def test_oracle_depth_guard_reports_unproven(self, tmp_path, capsys, data_dir, monkeypatch):
+        # _expand raises as a path deeper than the interpreter's stack
+        # does; test_oracle runs one such path for real, on 1,100 customers
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        inst_path = self.r100_row(tmp_path, capsys, data_dir)
+        monkeypatch.setattr(oracle._Search, "_expand", too_deep)
+        assert main(["oracle", str(inst_path)]) == 0
+        assert "(not proven (depth guard))" in capsys.readouterr().out
 
     def test_oracle_nan_time_limit_exit_2(self, tmp_path, capsys):
         # nan used to pass the check and silently drop the time limit

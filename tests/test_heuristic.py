@@ -30,7 +30,7 @@ from coptw import heuristic, savings
 from coptw.heuristic import (_call_orders, _Plan, _pool_size, _slices, _solve_run,
                               _Workspace)
 from coptw.savings import calc_saving_pairs
-from coptw.scheduling import RouteScan
+from coptw.scheduling import RouteScan, latest_starts
 
 from conftest import make_instance, random_instance, saving_cases
 
@@ -201,6 +201,122 @@ class TestConstruct:
                 assert check_solution(inst, sol).feasible
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("service", [0.0, 1e-12, 8.0])
+    def test_latest_starts_follow_every_change(self, monkeypatch, service):
+        # after every commit, rejected trial, undo, trade, removal and
+        # input, due must be None (left to the next scan) or equal
+        # latest_starts of the routes and its brute force, and every scan
+        # must read the latter; half the random instances put their
+        # customers on three points
+        seen = {"commit": 0, "reject": 0, "insert": 0, "undo": 0, "trade": 0,
+                "remove_vertices": 0, "from_solution": 0, "stale": 0, "scan": 0}
+        cyclic = 0
+
+        def check(ws):
+            nonlocal cyclic
+            if ws.due is None:
+                seen["stale"] += 1
+                return
+            assert ws.due == latest_starts(ws.tt, ws.routes) == reference_due(ws.tt, ws.routes)
+            cyclic += ws.due[0] == float("inf")
+
+        slots = _Workspace._slots
+
+        def checked_slots(ws, v):
+            found = slots(ws, v)
+            seen["scan"] += 1
+            check(ws)
+            return found
+
+        try_place_one = _Workspace.try_place_one
+        substitute = _Workspace.substitute
+        remove_vertices = _Workspace.remove_vertices
+        from_solution = _Workspace.from_solution.__func__
+
+        def checked_place(ws, v):
+            placed = try_place_one(ws, v)
+            seen["commit" if placed else "reject"] += 1
+            check(ws)
+            return placed
+
+        def checked_substitute(ws, v):
+            served = {x for route in ws.routes for x in route}
+            substitute(ws, v)
+            now = {x for route in ws.routes for x in route}
+            seen["undo" if v not in now else "trade" if served - now else "insert"] += 1
+            check(ws)
+
+        def checked_remove(ws, doomed):
+            remove_vertices(ws, doomed)
+            seen["remove_vertices"] += bool(doomed)
+            check(ws)
+
+        def checked_from_solution(cls, *args):
+            ws = from_solution(cls, *args)
+            seen["from_solution"] += 1
+            check(ws)
+            return ws
+
+        monkeypatch.setattr(_Workspace, "_slots", checked_slots)
+        monkeypatch.setattr(_Workspace, "try_place_one", checked_place)
+        monkeypatch.setattr(_Workspace, "substitute", checked_substitute)
+        monkeypatch.setattr(_Workspace, "remove_vertices", checked_remove)
+        monkeypatch.setattr(_Workspace, "from_solution", classmethod(checked_from_solution))
+        rng = random.Random(9)
+        for k in range(30):
+            team_size = rng.randint(1, 4)
+            inst = random_instance(rng, rng.randint(3, 9), team_size=team_size,
+                                   r_max=team_size, window=rng.choice([20.0, 60.0]),
+                                   service=service)
+            if k % 2:
+                points = [(10.0, 0.0), (0.0, 10.0), (7.0, 7.0)]
+                inst = make_instance(
+                    [(*rng.choice(points), v.duration, v.reward, v.open, v.close, r)
+                     for v, r in zip(inst.vertices[1:], inst.requirements[1:])],
+                    team_size=team_size, t_max=inst.t_max)
+            prep = prepare(inst)
+            for params in (SavingParams(0.7, 0.7, 0.7), SavingParams(0.0, 1.4, 2.1)):
+                sol = improve(prep, construct(prep, params))
+                assert check_solution(inst, sol).feasible
+        # a one-for-one trade: 1 and 2 both close at 55, so whichever comes
+        # second on the one route is late, and the horizon lowers 2's entry
+        # below its close once it is served
+        inst = make_instance([(50.0, 0.0, service, 10.0, 0.0, 55.0, 1),
+                              (50.0, 10.0, service, 30.0, 0.0, 55.0, 1)],
+                             team_size=1, t_max=102.0 + service)
+        prep = prepare(inst)
+        assert improve(prep, Solution(routes=[[1]])).routes == [[2]]
+        # the schedule-blind placement commits when the top-up fails
+        ws = _Workspace.from_solution(prep, Solution(routes=[[]]))
+        ws.top_up = lambda v: False
+        ws.substitute(2)
+        assert ws.routes == [[2]]
+        check(ws)
+        # 2 goes between 1 and 3 on one line; without service the path
+        # through it rounds 1's entry one step above the path it replaces,
+        # so a work list that only lowers entries would miss it
+        inst = make_instance([(0.3 * k, 0.7 * k, service, 1.0, 0.0, 100.0, 1)
+                              for k in (1, 2, 7)], team_size=1, t_max=200.0)
+        ws = _Workspace.from_solution(prepare(inst), Solution(routes=[[1, 3]]))
+        assert (0, 1) in [slot[1:] for slot in ws._slots(2)]
+        due = ws.due
+        assert ws._try_slot(0, 1, 2) is not None
+        check(ws)
+        assert (ws.due[1] > due[1]) == (service == 0)
+        # two members cross over two coincident customers: the visit that
+        # closes the cycle is feasible only without service, and then
+        # every entry is inf
+        inst = make_instance([(10.0, 0.0, service, 5.0, 0.0, 50.0, 2)] * 2,
+                             team_size=2, t_max=100.0)
+        ws = _Workspace(prepare(inst))
+        for m, pos, v in ((0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 1)):
+            closed = ws._try_slot(m, pos, v) is not None
+            check(ws)
+        ws._slots(1)
+        assert closed == (service == 0) == (ws.due[0] == float("inf"))
+        assert all(seen.values()), seen
+        assert (cyclic > 0) == (service == 0)
+
     def test_slot_floors_drop_only_rejected_slots(self):
         # a non-empty-route slot that _slots leaves out must be one the
         # insertion kernel rejects (empty routes are offered once)
@@ -260,12 +376,45 @@ class TestConstruct:
         assert check_slot_scans(inst, random.Random(3)) > 0
 
 
+def reference_due(tt, routes):
+    """latest_starts by brute force: per vertex, the least bound over every
+    path of route successor arcs from it, each path's end bound (its
+    close, or T_max at the depot, plus 1e-9 * max(1, T_max)) less the
+    services and travel times back along the path; every entry inf when
+    the arcs form a cycle."""
+    succ = {}
+    for route in routes:
+        for x, y in zip(route, [*route[1:], 0]):
+            succ.setdefault(x, []).append(y)
+    slack = 1e-9 * max(1.0, tt.t_max)
+    bound = [c + slack for c in tt.close]
+    bound[0] = tt.t_max + slack
+
+    class Cycle(Exception):
+        pass
+
+    def least(x, path):
+        if x in path:
+            raise Cycle
+        best = bound[x]
+        for y in succ.get(x, ()):
+            best = min(best, least(y, path | {x}) - tt.dur[x] - tt.t[x][y])
+        return best
+
+    try:
+        return [least(x, frozenset()) for x in range(tt.n)]
+    except Cycle:
+        return [float("inf")] * tt.n
+
+
 def reference_slots(ws, v, ends):
     """_slots by brute force: every (m, pos) of every route without v,
-    tested through feas[u][v], with the two start floors, the heads and
-    tails apart from the interiors and only the first empty route, sorted
-    by (delta, m, pos)."""
+    tested through feas[u][v], with the start floors (v reachable by its
+    close, and v's start and w's arrival within their latest starts of
+    reference_due), the heads and tails apart from the interiors and only
+    the first empty route, sorted by (delta, m, pos)."""
     tt, s, feas, dist = ws.tt, ws.s, ws.feas, ws.dist
+    due = reference_due(tt, ws.routes)
     slots = []
     empty_seen = False
     for m, route in enumerate(ws.routes):
@@ -289,7 +438,8 @@ def reference_slots(ws, v, ends):
             arr = (s[u] + tt.dur[u] if u else 0.0) + tt.t[u][v]
             if arr > tt.close[v]:
                 continue
-            if max(arr, s[v]) + tt.dur[v] + tt.t[v][w] > tt.close[w]:
+            start = max(arr, s[v])
+            if start > due[v] or start + tt.dur[v] + tt.t[v][w] > due[w]:
                 continue
             slots.append((dist[u][v] + dist[v][w] - dist[u][w], m, pos))
     return sorted(slots)

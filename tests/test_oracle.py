@@ -333,6 +333,7 @@ class TestExactSolve:
         inst = random_instance(rng, 6, team_size=2, t_max=300.0)
         res = exact_solve(inst, OracleConfig(node_limit=5))
         assert not res.proven_optimal
+        assert res.stopped_by == "node limit"
         assert res.explored_nodes >= 5
         assert check_solution(inst, res.best_solution).feasible
 
@@ -347,6 +348,7 @@ class TestExactSolve:
             team_size=1, t_max=10_000.0)
         res = exact_solve(inst, incumbent=empty_solution(1))
         assert not res.proven_optimal
+        assert res.stopped_by == "depth guard"
         assert 0 < res.best_score < n
         assert res.best_score == objective(inst, res.best_solution)
         assert check_solution(inst, res.best_solution).feasible
@@ -425,31 +427,40 @@ class TestExactSolve:
         # node counts of the search before it took an incumbent
         inst = random_instance(random.Random(seed), n, team_size=team_size)
         res = exact_solve(inst, incumbent=empty_solution(team_size))
-        assert res.proven_optimal
+        assert res.proven_optimal and res.stopped_by is None
         assert (res.best_score, res.explored_nodes) == (score, nodes)
 
     # (explored_nodes, best_score, routes, proven_optimal) of searches
     # stopped by each node limit, then by a deadline already passed when
     # the search starts (the deadline is read every 512 nodes), on four
     # benchmark rows at requirement seed 1, from the heuristic's solution
-    # and cold, with children drawn from each node's live list.
+    # and cold, with children drawn from each node's live list.  The ids
+    # name the row and start, not the digest.
     @pytest.mark.parametrize("name, n, team_size, start, digest", [
-        ("r100_1", 12, 4, "seeded",
-         "c3db7b4d68c46ceef77208b6d08bb64f145f30415676e7268208eab0d4d67489"),
-        ("r100_1", 12, 4, "cold",
-         "715b68dc7ed75cedec1ad698678e198e5eda0c83d5bd09c7ade5a7e13893a189"),
-        ("rc100_1", 10, 3, "seeded",
-         "5754e15d1ed757d6c6c667fdb4e99154e445b472673b18fd210e6d84dadd22b3"),
-        ("rc100_1", 10, 3, "cold",
-         "6c3bd9910ae1d29539f5a787bf2be0667958bec990a19caf66e34727a6ad2ba9"),
-        ("rc100_1", 10, 4, "seeded",
-         "632b1b9deb5689cff129d8531ac2c2f539e741c93e77809b3bfa2841d691b324"),
-        ("rc100_1", 10, 4, "cold",
-         "f83aaeeb11dd52d6d8624d556bd61f0ad1a11c7f07ea9ab28a828331066a3ba5"),
-        ("rc100_1", 11, 3, "seeded",
-         "67fc8bc430340d130e37d5bc07d1143386a960ba271335dc94e079837b3bcc96"),
-        ("rc100_1", 11, 3, "cold",
-         "805762bb69fcc67c1a921bb7a2812214e8ea6e3a6aa4c2db012d2005e08795d4"),
+        pytest.param("r100_1", 12, 4, "seeded",
+                     "c3db7b4d68c46ceef77208b6d08bb64f145f30415676e7268208eab0d4d67489",
+                     id="r100_1-n12-P4-seeded"),
+        pytest.param("r100_1", 12, 4, "cold",
+                     "715b68dc7ed75cedec1ad698678e198e5eda0c83d5bd09c7ade5a7e13893a189",
+                     id="r100_1-n12-P4-cold"),
+        pytest.param("rc100_1", 10, 3, "seeded",
+                     "5754e15d1ed757d6c6c667fdb4e99154e445b472673b18fd210e6d84dadd22b3",
+                     id="rc100_1-n10-P3-seeded"),
+        pytest.param("rc100_1", 10, 3, "cold",
+                     "6c3bd9910ae1d29539f5a787bf2be0667958bec990a19caf66e34727a6ad2ba9",
+                     id="rc100_1-n10-P3-cold"),
+        pytest.param("rc100_1", 10, 4, "seeded",
+                     "632b1b9deb5689cff129d8531ac2c2f539e741c93e77809b3bfa2841d691b324",
+                     id="rc100_1-n10-P4-seeded"),
+        pytest.param("rc100_1", 10, 4, "cold",
+                     "f83aaeeb11dd52d6d8624d556bd61f0ad1a11c7f07ea9ab28a828331066a3ba5",
+                     id="rc100_1-n10-P4-cold"),
+        pytest.param("rc100_1", 11, 3, "seeded",
+                     "67fc8bc430340d130e37d5bc07d1143386a960ba271335dc94e079837b3bcc96",
+                     id="rc100_1-n11-P3-seeded"),
+        pytest.param("rc100_1", 11, 3, "cold",
+                     "805762bb69fcc67c1a921bb7a2812214e8ea6e3a6aa4c2db012d2005e08795d4",
+                     id="rc100_1-n11-P3-cold"),
     ])
     def test_limited_searches_are_pinned(self, data_dir, name, n, team_size, start, digest):
         raw = truncate(parse_benchmark((data_dir / f"{name}.txt").read_text()), n)
@@ -463,9 +474,11 @@ class TestExactSolve:
             if limit is None:
                 res = exact_solve(inst, OracleConfig(time_limit=1e-9), incumbent)
                 assert res.explored_nodes == 512
+                assert res.stopped_by == "time limit"
             else:
                 res = exact_solve(inst, OracleConfig(node_limit=limit), incumbent)
                 assert res.explored_nodes == limit + 1
+                assert res.stopped_by == "node limit"
             assert not res.proven_optimal
             assert check_solution(inst, res.best_solution).feasible
             records.append([limit, res.explored_nodes, res.best_score,
